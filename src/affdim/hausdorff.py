@@ -52,8 +52,8 @@ def power_fixed_point(
     """
     if exponent < 2:
         raise InvalidSystemError(f"fixed-point exponent must be >= 2, got {exponent}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if not matrix.is_primitive():
         raise InvalidSystemError("fixed-point vector requires a primitive matrix")
     m = matrix.m
@@ -224,8 +224,8 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
             f"divisible-general series called on {sys.case_tag.value} system; "
             "degenerate systems use the sublattice reduction"
         )
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     base = chain_density(1, 1, sys)
     total = float(base)
     i = 2
@@ -247,7 +247,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         kind="hausdorff",
         case_tag=sys.case_tag,
         truncation_index=i,
-        tail_bound=float(weighted_extra_census_tail(i, sys)),
+        tail_bound=float(tail),
         tolerance=tol,
         contributions=tuple(contributions),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,12 +168,23 @@ def decompose(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainDec
     return ChainDecomposition(n=n, chains=tuple(chains))
 
 
-def empirical_census(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> Census:
-    """Chain census over {1, ..., n} without materializing the chains.
+class ChainWalk(NamedTuple):
+    """Every chain meeting {1, ..., n} as parallel arrays ordered by start:
+    the start, the number of window members, the full orbit length, and
+    whether the orbit hit the iteration cap (see ``Chain``)."""
 
-    Window walks are vectorized over all chain starts; the much shorter
-    beyond-window continuation falls back to exact integer arithmetic once
-    positions approach the int64 range.
+    starts: np.ndarray
+    window: np.ndarray
+    full_length: np.ndarray
+    truncated: np.ndarray
+
+
+def chain_walk(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainWalk:
+    """The chains of ``decompose`` without materializing them.
+
+    Window walks are vectorized over all chain starts, one level at a time;
+    the much shorter beyond-window continuation falls back to exact integer
+    arithmetic once positions approach the int64 range.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
@@ -187,31 +199,34 @@ def empirical_census(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> C
     starts = pos[~has_pre]
     del pos, off, k, has_pre
 
+    # only the chains that advance are touched, and they thin out fast
+    window = np.ones(len(starts), dtype=np.int64)
+    last = starts.copy()
     cur = starts
-    wlen = np.ones(len(starts), dtype=np.int64)
-    done_pos: list[np.ndarray] = []
-    done_len: list[np.ndarray] = []
+    ids = np.arange(len(starts))
+    level = 1
     while len(cur):
         offs = cur - a
         kk = offs // p
-        valid = (offs % p == 0) & (kk >= k_min)
         nxt = q * kk + b
-        adv = valid & (nxt <= n)
-        stop = ~adv
-        if stop.any():
-            done_pos.append(cur[stop])
-            done_len.append(wlen[stop])
-        cur = nxt[adv]
-        wlen = wlen[adv] + 1
-    last = np.concatenate(done_pos) if done_pos else np.empty(0, dtype=np.int64)
-    wl = np.concatenate(done_len) if done_len else np.empty(0, dtype=np.int64)
+        adv = (offs % p == 0) & (kk >= k_min) & (nxt <= n)
+        cur, ids = nxt[adv], ids[adv]
+        level += 1
+        window[ids] = level
+        last[ids] = cur
 
-    full, truncated_mask = _extend_full_lengths(last, wl, sys, cap)
+    full, truncated = _extend_full_lengths(last, window, sys, cap)
+    return ChainWalk(starts, window, full, truncated)
 
-    max_w = int(wl.max()) if len(wl) else 0
+
+def empirical_census(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> Census:
+    """Chain census over {1, ..., n}: one bincount over ``chain_walk``."""
+    walk = chain_walk(n, sys, cap)
+    wl = walk.window
+    max_w = int(wl.max())
     stride = max_w + 2
     sentinel = cap + max_w + 1
-    full_capped = np.where(truncated_mask, sentinel, full)
+    full_capped = np.where(walk.truncated, sentinel, walk.full_length)
     keys = full_capped * stride + wl
     counts = np.bincount(keys)
 
@@ -421,13 +436,3 @@ def density_table(sys: AffineSystem, max_length: int) -> DensityTable:
         for j in range(1, i + 1)
     }
     return DensityTable(P=P, singleton_density=singleton_density(sys))
-
-
-def chain_length_groups(dec: ChainDecomposition) -> dict[object, list[Chain]]:
-    """Group chains by the measure family they carry: full length for finite
-    chains, the string "inf" for truncated (infinite-orbit) chains."""
-    groups: dict[object, list[Chain]] = {}
-    for ch in dec.chains:
-        key: object = "inf" if ch.truncated else ch.full_length
-        groups.setdefault(key, []).append(ch)
-    return groups

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import AffineSystem, CaseTag, InvalidSystemError, NumericalError
 from .hausdorff import chain_potential, power_fixed_point
-from .lattice import ChainDecomposition, chain_length_groups, decompose
+from .lattice import chain_walk
 
 
 @dataclass(frozen=True)
@@ -127,22 +127,25 @@ class PrefixMeasure:
     -log_m probability for arbitrary words.
     """
 
-    def __init__(self, sys: AffineSystem, n: int, decomposition: ChainDecomposition | None = None):
+    def __init__(self, sys: AffineSystem, n: int):
         self.sys = sys
         self.n = n
-        self.decomposition = decomposition or decompose(n, sys)
+        p, q, a, b = sys.p, sys.q, sys.a, sys.b
+        walk = chain_walk(n, sys)
+        # one family per full length; capped chains (key 0) carry "inf"
+        keys = np.where(walk.truncated, 0, walk.full_length)
+        # within a family, longest window first so each level is a prefix
+        order = np.lexsort((walk.starts, -walk.window, keys))
+        values, counts = np.unique(keys, return_counts=True)
         self._groups = []
-        for key, chains in sorted(
-            chain_length_groups(self.decomposition).items(), key=lambda kv: str(kv[0])
-        ):
-            measure = self._measure_for(key)
-            ordered = sorted(chains, key=lambda c: (-c.window_count, c.start))
-            max_w = ordered[0].window_count
-            steps = []
-            for j in range(max_w):
-                live = [c for c in ordered if c.window_count > j]
-                steps.append(np.array([c.positions[j] for c in live], dtype=np.int64))
-            self._groups.append(_GroupSampler(measure, steps))
+        for key, members in zip(values.tolist(), np.split(order, np.cumsum(counts)[:-1])):
+            window = walk.window[members]
+            pos = walk.starts[members]
+            steps = [pos]
+            for j in range(1, int(window[0])):
+                pos = q * ((pos[: np.count_nonzero(window > j)] - a) // p) + b
+                steps.append(pos)
+            self._groups.append(_GroupSampler(self._measure_for(key or "inf"), steps))
 
     def _measure_for(self, key) -> ChainMeasure:
         sys = self.sys
@@ -178,19 +181,14 @@ class PrefixMeasure:
 
     def neg_log_prob(self, word) -> float:
         """-log_m of the prefix probability of ``word`` (inf if excluded)."""
-        word = np.asarray(word)
+        word = np.asarray(word, dtype=np.int64)
         if len(word) != self.n:
             raise ValueError(f"word length {len(word)} != window {self.n}")
-        total = 0.0
-        for group in self._groups:
-            for chain_positions in group.iter_chains():
-                prob = group.measure.word_probability(
-                    [int(word[p - 1]) for p in chain_positions]
-                )
-                if prob == 0.0:
-                    return math.inf
-                total += math.log2(prob)
-        return -total / math.log2(self.sys.m)
+        m = self.sys.m
+        if word.min() < 0 or word.max() >= m:
+            raise ValueError(f"letters must lie in [0, {m}), got {word.min()}..{word.max()}")
+        total = sum(group.log2_prob(word) for group in self._groups)
+        return -total / math.log2(m)
 
 
 class _GroupSampler:
@@ -219,13 +217,6 @@ class _GroupSampler:
         arr = np.asarray(pmf, dtype=float)
         return np.where(arr > 0, np.log2(np.maximum(arr, 1e-300)), -np.inf)
 
-    def iter_chains(self):
-        """Rebuild per-chain position tuples (column-aligned prefixes)."""
-        counts = [len(s) for s in self.steps]
-        for idx in range(counts[0]):
-            depth = sum(1 for c in counts if c > idx)
-            yield tuple(int(self.steps[j][idx]) for j in range(depth))
-
     def draw(self, u: np.ndarray, letters: np.ndarray, log2p: np.ndarray) -> None:
         pos = self.steps[0]
         take = u[pos - 1]
@@ -246,6 +237,17 @@ class _GroupSampler:
             letters[pos - 1] = lets
             log2p[pos - 1] = self._trans_log[j - 1][prev, lets]
             prev = lets
+
+    def log2_prob(self, word: np.ndarray) -> float:
+        """log2 probability of this group's chain words read off ``word``,
+        gathered level by level from the tables ``draw`` uses."""
+        prev = word[self.steps[0] - 1]
+        total = float(self._first_log[prev].sum())
+        for j in range(1, len(self.steps)):
+            lets = word[self.steps[j] - 1]
+            total += float(self._trans_log[j - 1][prev[: len(lets)], lets].sum())
+            prev = lets
+        return total
 
 
 def sample_prefix(sys: AffineSystem, n: int, seed: int) -> np.ndarray:

@@ -48,8 +48,8 @@ def series_tail_bound(upto_i: int, q1: int, d: int) -> Fraction:
 def _series_value(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int):
     """Sum ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1} until
     the tail bound is <= tol.  Returns (value_mpf, N, tail_bound)."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     m = matrix.m
     with mp.workdps(_DPS):
         log_m = mp.log(m)

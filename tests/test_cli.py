@@ -60,6 +60,14 @@ class TestDim:
         assert code == 1
         assert "p < q" in err
 
+    @pytest.mark.parametrize("kind", ["minkowski", "hausdorff"])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_code(self, capsys, golden_23, kind, tol):
+        code, out, err = run(capsys, "dim", "--kind", kind, "--tol", tol, golden_23)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_malformed_json_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

@@ -16,6 +16,7 @@ from affdim.hausdorff import (
     dimension_nondivisible,
     power_fixed_point,
 )
+from affdim.lattice import weighted_extra_census_tail
 from conftest import BATTERY, FULL2, GOLDEN, random_irreducible, sys_full, sys_golden
 
 # root of x^3 = x + 1; the golden-matrix ratio-2 fixed point is (r^2, r)
@@ -78,6 +79,12 @@ class TestFixedPoint:
     def test_divergence_budget_error(self, golden):
         with pytest.raises(NumericalError):
             power_fixed_point(golden, 2, tol=1e-12, max_iterations=3)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, golden, tol):
+        # a nan tolerance never compares below a residual; inf accepts any
+        with pytest.raises(ValueError, match="finite"):
+            power_fixed_point(golden, 2, tol=tol)
 
 
 class TestNonDivisible:
@@ -206,6 +213,19 @@ class TestDivisibleGeneral:
     def test_rejects_degenerate(self):
         with pytest.raises(InvalidSystemError, match="degenerate"):
             dimension_divisible(sys_golden(2, 4, 0, 0))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # with nan the loop's stop test `tail <= tol` is never true
+        with pytest.raises(ValueError, match="finite"):
+            dimension(sys_golden(2, 3, 0, 0), tol=tol)
+
+    def test_tail_bound_is_the_last_tail(self):
+        s = sys_golden(4, 6, 1, 3)
+        report = dimension_divisible(s, tol=1e-9)
+        tail = weighted_extra_census_tail(report.truncation_index, s)
+        assert report.tail_bound == float(tail) <= 1e-9
+        assert float(weighted_extra_census_tail(report.truncation_index - 1, s)) > 1e-9
 
 
 class TestDegenerate:

@@ -18,9 +18,11 @@ from affdim import (
 )
 from affdim.lattice import (
     chain_density_column_tail,
+    chain_walk,
     density_table,
     weighted_census_tail,
 )
+from affdim.measures import PrefixMeasure
 from conftest import GOLDEN, sys_golden
 
 
@@ -111,6 +113,28 @@ class TestDecompose:
             for x, y in zip(c.positions, c.positions[1:]):
                 assert successor(x, s) == y
             assert c.window_count <= c.full_length
+
+
+class TestChainWalk:
+    @given(small_systems, st.integers(1, 300))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_decompose_chain_by_chain(self, pqab, n):
+        s = validate_system(*pqab, GOLDEN)
+        chains = decompose(n, s).chains
+        walk = chain_walk(n, s)
+        assert walk.starts.tolist() == [c.start for c in chains]
+        assert walk.window.tolist() == [c.window_count for c in chains]
+        assert walk.full_length.tolist() == [c.full_length for c in chains]
+        assert walk.truncated.tolist() == [c.truncated for c in chains]
+        # the sampler's per-level position arrays, read back chain by chain
+        sampled = {}
+        for group in PrefixMeasure(s, n)._groups:
+            key = "inf" if group.measure.stationary else group.measure.length
+            levels = [level.tolist() for level in group.steps]
+            for idx in range(len(levels[0])):
+                positions = tuple(level[idx] for level in levels if idx < len(level))
+                sampled[positions] = key
+        assert sampled == {c.positions: "inf" if c.truncated else c.full_length for c in chains}
 
 
 class TestEmpiricalCensus:

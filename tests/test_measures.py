@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -161,6 +162,32 @@ class TestSampling:
         pm = PrefixMeasure(s, 4)
         assert pm.neg_log_prob([1, 1, 0, 0]) == math.inf  # x1 x2 = 11 excluded
 
+    @pytest.mark.parametrize("letter", [-1, 2])
+    def test_prefix_probability_rejects_letters_outside_alphabet(self, letter):
+        # -1 would otherwise index the last table row and score as letter 1
+        pm = PrefixMeasure(sys_golden(2, 3, 0, 0), 6)
+        word = [0, 0, 1, 0, 0, 0]
+        assert math.isfinite(pm.neg_log_prob(word))
+        word[2] = letter
+        with pytest.raises(ValueError, match="letters"):
+            pm.neg_log_prob(word)
+
+    @pytest.mark.parametrize(
+        "pqab, digest",
+        [
+            ((2, 3, 0, 0), "e31a53585ce49a5fdd0a2105436bcc49916da8e3ec4195b7962b6605074f9114"),
+            ((4, 6, 1, 3), "a30d6f6e2da33b326815135f328284101dbc0b8c74ae3379eb98ab1b423605fa"),
+            ((1, 2, 0, 0), "cab689db97059eeff4eb042ac09e07ff95b754d5c2464ece1b2fda9e3432aa46"),
+            ((2, 4, 0, 1), "f36e467bf24e0c199b5a697966e6cc457293dca2e92b248c4ae8ab971ae08d44"),
+        ],
+    )
+    def test_sample_prefix_pinned(self, pqab, digest):
+        # sha256 of the letters as the `sample` command prints them, recorded
+        # from the sampler built on the per-chain `decompose` walk
+        letters = sample_prefix(sys_golden(*pqab), 5000, seed=11)
+        text = "".join(str(int(v)) for v in letters)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestLocalDimension:
     def test_full_matrix_exactly_one(self):
@@ -188,7 +215,7 @@ class TestLocalDimension:
         # here by more than 8 standard errors on both systems.
         s = sys_golden(*pqab)
         target = dim_h(s, tol=1e-10).value
-        mean, stderr = empirical_local_dimension(s, 3 * 10**5, seed=1, samples=50)
+        mean, stderr = empirical_local_dimension(s, 10**6, seed=1, samples=50)
         assert stderr > 0
         assert abs(mean - target) <= 3 * stderr, (mean, stderr, target)
 

@@ -67,6 +67,12 @@ class TestDivisible:
         with pytest.raises(ValueError):
             dimension_divisible(sys_golden(1, 2, 0, 0), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # with nan the loop's stop test `tail <= tol` is never true
+        with pytest.raises(ValueError, match="finite"):
+            dimension(sys_golden(2, 3, 0, 0), tol=tol)
+
     def test_rejects_non_divisible(self):
         with pytest.raises(InvalidSystemError):
             dimension_divisible(sys_golden(2, 4, 0, 1))
