@@ -34,6 +34,7 @@ from .lattice import (
     predecessor,
     singleton_density,
     successor,
+    window_counts,
     window_length_density,
 )
 from . import hausdorff, higher_order, measures, minkowski, oracle
@@ -67,5 +68,6 @@ __all__ = [
     "successor",
     "system_from_json_dict",
     "validate_system",
+    "window_counts",
     "window_length_density",
 ]

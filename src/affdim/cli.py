@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, hausdorff, higher_order, measures, minkowski, oracle
 from .core import InvalidSystemError, NumericalError, load_system
-from .lattice import decompose, empirical_census
+from .lattice import decompose
 
 
 def thread_cap() -> int:
@@ -111,14 +111,13 @@ def cmd_decompose(args) -> None:
 
 def cmd_count(args) -> None:
     system = load_system(args.system)
-    census = empirical_census(args.n, system)
-    count = minkowski.pattern_count_exact(args.n, system, census)
+    count = minkowski.pattern_count_exact(args.n, system)
     _emit(
         {
             "command": "count",
             "config": _config(args, system_dict=system.to_json_dict()),
             "count": count,
-            "log_m_count_over_n": minkowski.empirical_dimension(args.n, system, census),
+            "log_m_count_over_n": minkowski.empirical_dimension(args.n, system),
         }
     )
 

@@ -34,6 +34,12 @@ class CaseTag(str, Enum):
     CLASSICAL = "classical"                  # p == 1
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a truncation tolerance unless 0 < tol < inf (nan included)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _ceil_div(num: int, den: int) -> int:
     # den > 0; works for negative num (true ceiling)
     return -((-num) // den)

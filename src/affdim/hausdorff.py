@@ -19,6 +19,7 @@ from .core import (
     InvalidSystemError,
     NumericalError,
     TransitionMatrix,
+    check_tolerance,
 )
 from . import minkowski
 from .lattice import chain_density, weighted_extra_census_tail
@@ -52,8 +53,7 @@ def power_fixed_point(
     """
     if exponent < 2:
         raise InvalidSystemError(f"fixed-point exponent must be >= 2, got {exponent}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    check_tolerance(tol)
     if not matrix.is_primitive():
         raise InvalidSystemError("fixed-point vector requires a primitive matrix")
     m = matrix.m
@@ -224,8 +224,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
             f"divisible-general series called on {sys.case_tag.value} system; "
             "degenerate systems use the sublattice reduction"
         )
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    check_tolerance(tol)
     base = chain_density(1, 1, sys)
     total = float(base)
     i = 2
@@ -287,6 +286,7 @@ def dimension_degenerate(sys: AffineSystem, tol: float = 1e-10) -> DimensionRepo
 
 def dimension(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
     """Hausdorff dimension, dispatching on the case classification."""
+    check_tolerance(tol)
     if sys.case_tag is CaseTag.NON_DIVISIBLE:
         return dimension_nondivisible(sys)
     if sys.case_tag is CaseTag.CLASSICAL:

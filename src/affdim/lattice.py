@@ -8,6 +8,7 @@ rational limit densities those counts converge to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -120,10 +121,13 @@ class Census:
 
 
 def _infinite_orbits(sys: AffineSystem) -> bool:
-    # With p1 == 1 every valid successor step stays valid (divisibility is
-    # inherited), so any chain that advances once never terminates.  The
-    # k >= k_min guard also persists when c >= 0.
-    return sys.p1 == 1 and sys.divisible and (sys.c or 0) >= 0
+    # With p1 == 1 (p divides q) and p dividing b - a, the successor
+    # q*k + b = p*(q1*k + c) + a of x = p*k + a is again p*k' + a with
+    # k' - k = (q1 - 1)*k + c.  Callers have passed _check_monotone, so the
+    # first pair increases: (q - p)*k_min + b - a = p*((q1 - 1)*k_min + c) > 0.
+    # As q1 >= 2, k' > k >= k_min for every k >= k_min, so a chain that
+    # advances once never terminates, whatever the sign of c.
+    return sys.p1 == 1 and sys.divisible
 
 
 def decompose(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainDecomposition:
@@ -242,6 +246,52 @@ def empirical_census(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> C
         else:
             L[(i, j)] = L.get((i, j), 0) + c
     return Census(n=n, L=L, D=D, truncated=truncated)
+
+
+def window_counts(n: int, sys: AffineSystem) -> dict[int, int]:
+    """``empirical_census(n, sys).D`` in O(log n) integer steps, no walk.
+
+    Let E_t count the positions x <= n whose t-th predecessor exists
+    (E_0 = n).  The predecessor of a window position is smaller, so a chain
+    with j window members holds max(0, j - t) of them and
+    D[j] = E_{j-1} - 2*E_j + E_{j+1}.  The positions with a t-th
+    predecessor are the image of the successor map f applied t times, an
+    arithmetic progression {first + step*i : i >= 0}; the next level solves
+    p*k + a = first + step*i (one gcd and one modular inverse), takes the
+    smallest such k >= k_min and maps it to q*k + b.  Since f(x) > x (the
+    first pair increases), a progression member beyond n never maps back
+    into the window, so once step exceeds n it is capped at n + 1 to keep
+    the integers small.
+    """
+    if n < 1:
+        raise ValueError(f"window size must be >= 1, got {n}")
+    _check_monotone(sys)
+    p, q, a, b, k_min = sys.p, sys.q, sys.a, sys.b, sys.k_min
+
+    E = [n]
+    first, step = 1, 1
+    while True:
+        # p*k + a lies in the progression iff k = k0 mod (step // g) and
+        # p*k + a >= first
+        g = math.gcd(p, step)
+        if (first - a) % g:
+            break
+        mod = step // g
+        k0 = (first - a) // g * pow(p // g, -1, mod) % mod
+        lo = max(k_min, -((a - first) // p))
+        first = q * (lo + (k0 - lo) % mod) + b
+        if first > n:
+            break
+        step = min(q * mod, n + 1)
+        E.append((n - first) // step + 1)
+
+    E += [0, 0]
+    D: dict[int, int] = {}
+    for j in range(1, len(E) - 1):
+        count = E[j - 1] - 2 * E[j] + E[j + 1]
+        if count:
+            D[j] = count
+    return D
 
 
 def _extend_full_lengths(last, wlen, sys: AffineSystem, cap):

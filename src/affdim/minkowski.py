@@ -16,8 +16,15 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .core import AffineSystem, CaseTag, DimensionReport, InvalidSystemError, TransitionMatrix
-from .lattice import Census, empirical_census
+from .core import (
+    AffineSystem,
+    CaseTag,
+    DimensionReport,
+    InvalidSystemError,
+    TransitionMatrix,
+    check_tolerance,
+)
+from .lattice import Census, window_counts
 
 _DPS = 40
 
@@ -48,8 +55,7 @@ def series_tail_bound(upto_i: int, q1: int, d: int) -> Fraction:
 def _series_value(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int):
     """Sum ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1} until
     the tail bound is <= tol.  Returns (value_mpf, N, tail_bound)."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    check_tolerance(tol)
     m = matrix.m
     with mp.workdps(_DPS):
         log_m = mp.log(m)
@@ -119,6 +125,7 @@ def dimension_classical(q: int, matrix: TransitionMatrix, tol: float = 1e-8) -> 
 
 def dimension(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
     """Minkowski dimension of the system, dispatching on its case."""
+    check_tolerance(tol)
     if sys.case_tag is CaseTag.NON_DIVISIBLE:
         return dimension_nondivisible(sys)
     return dimension_divisible(sys, tol)
@@ -143,19 +150,19 @@ def pattern_count_exact(
     (singletons contribute m); irreducibility, enforced at validation,
     guarantees every chain word extends past the window.
     """
-    if census is None:
-        census = empirical_census(n, sys)
+    D = window_counts(n, sys) if census is None else census.D
     count = 1
-    for j, cnt in census.D.items():
+    for j, cnt in D.items():
         count *= sys.matrix.power_sum(j - 1) ** cnt
     return count
 
 
 def empirical_dimension(n: int, sys: AffineSystem, census: Census | None = None) -> float:
     """log_m of the exact window pattern count divided by n, accumulated in
-    log space so that large windows avoid astronomically large integers."""
-    if census is None:
-        census = empirical_census(n, sys)
+    log space so that large windows avoid astronomically large integers.
+    Terms are summed by increasing j, so the value does not depend on which
+    route produced the census."""
+    D = window_counts(n, sys) if census is None else census.D
     log2_m = math.log2(sys.m)
-    total = sum(cnt * math.log2(sys.matrix.power_sum(j - 1)) for j, cnt in census.D.items())
+    total = sum(cnt * math.log2(sys.matrix.power_sum(j - 1)) for j, cnt in sorted(D.items()))
     return total / (n * log2_m)

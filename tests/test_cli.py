@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,13 @@ def golden_23(tmp_path):
     path.write_text(
         json.dumps({"m": 2, "matrix": [[1, 1], [1, 0]], "p": 2, "q": 3, "a": 0, "b": 0})
     )
+    return str(path)
+
+
+def system_file(tmp_path, pqab) -> str:
+    p, q, a, b = pqab
+    path = tmp_path / f"golden_{p}{q}{a}{b}.json"
+    path.write_text(json.dumps({"m": 2, "matrix": [[1, 1], [1, 0]], "p": p, "q": q, "a": a, "b": b}))
     return str(path)
 
 
@@ -67,6 +75,17 @@ class TestDim:
         assert code == 1
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        ("pqab", "argv"),
+        [((2, 4, 0, 1), ["--tol", "nan"]), ((1, 2, 0, 0), ["--kind", "hausdorff", "--tol", "inf"])],
+    )
+    def test_non_finite_tolerance_without_a_series(self, capsys, tmp_path, pqab, argv):
+        # a closed form and a fixed point: no series loop sees the tolerance
+        code, out, err = run(capsys, "dim", *argv, system_file(tmp_path, pqab))
+        assert code == 1
+        assert out == ""
+        assert "positive and finite" in err
 
     def test_malformed_json_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -210,3 +229,38 @@ class TestHigherOrderCommand:
         last = lines[4].split(",")
         assert last[3] == ""  # enumeration infeasible at 1e6
         assert float(last[2]) < float(lines[3].split(",")[2])
+
+
+PINNED_ARGS = {
+    "sweep": ["--n-grid", "10000,3000000"],
+    "count": ["--n", "2000"],
+    "verify": ["--max-n", "40"],
+}
+
+#: sha256 of the stdout of each command on the golden matrix, recorded while
+#: the window counts still came from the vectorized chain walk
+PINNED_REPORTS = {
+    ("sweep", (2, 3, 0, 0)): "bdd2759e80f6f6168473fbb124d03f107fcce5f679f900c10aa0a59b8532c84c",
+    ("sweep", (4, 6, 1, 3)): "982a6d46dd1ba01d29a3f5582fa52766771f3ffadacd0a566cdc825d3d62c073",
+    ("sweep", (1, 2, 0, 0)): "b5211756278aa49b384c745eee732876a5e4c7f7ade57558098c19abdabb3aa0",
+    ("sweep", (2, 4, 0, 1)): "166bd8732258d8067040b41282964d1eaa77e847548be8492f7e997ff3af540f",
+    ("sweep", (1, 3, 1, 0)): "70b0a2cbb418cbef4067a951ffc5674f548695faabdb29afd486f2fada0211a2",
+    ("count", (2, 3, 0, 0)): "57f4296f0b6f4d9896ac39b2b37c4d3a935c662fe25dd7799178e28f3f25c11c",
+    ("count", (4, 6, 1, 3)): "1e4da0d055456ea904b24d48ff5ca1e15e0065fc22c41fd737fc81de7129d283",
+    ("count", (1, 2, 0, 0)): "267aae4c8ad4d429bb3ba844eee6e2a6b184fb781f4d61e56d81c2c380297193",
+    ("count", (2, 4, 0, 1)): "02fc6059eec65282ab1f22f21b3d9b7b023df0f95f1780813e8a15cd52ede42f",
+    ("count", (1, 3, 1, 0)): "2fb98205260f44ad5c1442f16a298b40ba549df1543e296cccdac35e83f3ef1f",
+    ("verify", (2, 3, 0, 0)): "f15cd625496c4f25765de9c12338792dcb404474363913cb72d62489ef9f2583",
+    ("verify", (4, 6, 1, 3)): "97f70e2200df60847c65bcbf1f0e9630d4a0fa63618ad183fdbb7fb43c1d9a7c",
+    ("verify", (1, 2, 0, 0)): "d1bf5d2d512393d1535530071e22dab9fede4f31b41337e4ce95586a36390ca5",
+    ("verify", (2, 4, 0, 1)): "95862017fc986cce52a6de2e72471d874a7bd10ea08fcbbbbacddaea4ce84271",
+    ("verify", (1, 3, 1, 0)): "40217ff4b612836679a77f70464eff2c56a2360a3ed958834cb6fdbefe95bfac",
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize(("command", "pqab"), list(PINNED_REPORTS))
+    def test_report_bytes(self, capsys, tmp_path, command, pqab):
+        code, out, _ = run(capsys, command, *PINNED_ARGS[command], system_file(tmp_path, pqab))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[(command, pqab)]

@@ -220,6 +220,14 @@ class TestDivisibleGeneral:
         with pytest.raises(ValueError, match="finite"):
             dimension(sys_golden(2, 3, 0, 0), tol=tol)
 
+    @pytest.mark.parametrize("pqab", BATTERY[:4])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_dispatcher_rejects_non_finite_tolerance_in_every_case(self, pqab, tol):
+        # the closed form and the fixed point sum no series, so only the
+        # dispatcher sees their tolerance
+        with pytest.raises(ValueError, match="positive and finite"):
+            dimension(sys_golden(*pqab), tol=tol)
+
     def test_tail_bound_is_the_last_tail(self):
         s = sys_golden(4, 6, 1, 3)
         report = dimension_divisible(s, tol=1e-9)

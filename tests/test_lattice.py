@@ -1,3 +1,5 @@
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from affdim.lattice import (
     chain_walk,
     density_table,
     weighted_census_tail,
+    window_counts,
 )
 from affdim.measures import PrefixMeasure
 from conftest import GOLDEN, sys_golden
@@ -29,6 +32,11 @@ from conftest import GOLDEN, sys_golden
 small_systems = st.tuples(
     st.integers(1, 6), st.integers(2, 8), st.integers(0, 5), st.integers(0, 5)
 ).filter(lambda t: t[0] < t[1] and t[2] <= t[3])
+
+#: also a > b, where some systems have a non-increasing first pair
+offset_systems = st.tuples(
+    st.integers(1, 6), st.integers(2, 8), st.integers(0, 5), st.integers(0, 5)
+).filter(lambda t: t[0] < t[1])
 
 
 class TestSuccessor:
@@ -93,6 +101,19 @@ class TestDecompose:
         assert by_start[2].positions == (2, 4, 8)
         assert by_start[2].truncated
         assert not by_start[1].truncated and by_start[1].full_length == 1
+
+    def test_infinite_orbits_marked_with_negative_offset(self):
+        # p1 = 1 and c = (b - a)/p = -1: the successor 3k of x = k + 1 is
+        # again of the form k' + 1 with k' = 3k - 1 > k, forever
+        s = sys_golden(1, 3, 1, 0)
+        assert s.c < 0
+        chains = decompose(40, s).chains
+        # every x >= 2 has a successor, so only the chain (1,) ends
+        assert [c.positions for c in chains if not c.truncated] == [(1,)]
+        assert all(c.full_length == c.window_count for c in chains)
+        census = empirical_census(10**5, s)
+        assert census.window_total() == 10**5
+        assert sum(census.truncated.values()) == sum(census.D.values()) - 1
 
     def test_rejects_non_monotone_links(self):
         with pytest.raises(InvalidSystemError, match="non-increasing"):
@@ -159,6 +180,39 @@ class TestEmpiricalCensus:
         # odd positions: finite singletons; even chains: infinite orbits
         assert census.L.get((1, 1), 0) == 500
         assert sum(census.truncated.values()) == 250  # evens 2 mod 4
+
+
+class TestWindowCounts:
+    @given(st.one_of(small_systems, offset_systems), st.integers(-1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_both_walks(self, pqab, n):
+        s = validate_system(*pqab, GOLDEN)
+        try:
+            walked = empirical_census(n, s).D
+        except (InvalidSystemError, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                window_counts(n, s)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                decompose(n, s)
+            return
+        assert window_counts(n, s) == walked == decompose(n, s).census().D
+
+    @pytest.mark.parametrize("pqab", [(2, 3, 0, 0), (2, 6, 0, 1)])
+    def test_matches_census_at_three_million(self, pqab):
+        s = sys_golden(*pqab)
+        assert window_counts(3 * 10**6, s) == empirical_census(3 * 10**6, s).D
+
+    @pytest.mark.parametrize("pqab", [(1, 2, 0, 0), (2, 3, 0, 0), (2, 4, 0, 1), (2, 4, 0, 0), (1, 3, 1, 0)])
+    def test_partitions_a_window_of_a_quintillion(self, pqab):
+        s = sys_golden(*pqab)
+        n = 10**18
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            D = window_counts(n, s)
+            best = min(best, time.perf_counter() - start)
+        assert sum(j * c for j, c in D.items()) == n
+        assert best < 0.01
 
 
 class TestDensities:

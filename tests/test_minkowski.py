@@ -73,6 +73,14 @@ class TestDivisible:
         with pytest.raises(ValueError, match="finite"):
             dimension(sys_golden(2, 3, 0, 0), tol=tol)
 
+    @pytest.mark.parametrize("pqab", BATTERY[:4])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_dispatcher_rejects_non_finite_tolerance_in_every_case(self, pqab, tol):
+        # the non-divisible closed form sums no series, so only the
+        # dispatcher sees its tolerance
+        with pytest.raises(ValueError, match="positive and finite"):
+            dimension(sys_golden(*pqab), tol=tol)
+
     def test_rejects_non_divisible(self):
         with pytest.raises(InvalidSystemError):
             dimension_divisible(sys_golden(2, 4, 0, 1))
@@ -126,6 +134,14 @@ class TestConvergence:
         gaps = [abs(empirical_dimension(n, s) - closed) for n in (10**3, 10**4, 10**5)]
         assert gaps[-1] <= 0.02
         assert gaps[-1] <= gaps[0]
+
+    @pytest.mark.parametrize("pqab", BATTERY[:4])
+    def test_window_of_a_trillion_meets_closed_form(self, pqab):
+        # one system per case tag; the window counts are arithmetic, so a
+        # window this large costs no more than a small one
+        s = sys_golden(*pqab)
+        gap = abs(empirical_dimension(10**12, s) - dimension(s, tol=1e-12).value)
+        assert gap <= 1e-9
 
     def test_battery_bounds(self, random3):
         rng = random.Random(3)
