@@ -22,7 +22,7 @@ from .core import (
     check_tolerance,
 )
 from . import minkowski
-from .lattice import chain_density, weighted_extra_census_tail
+from .lattice import chain_density, orbit_density, weighted_extra_census_tail
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,20 @@ def power_fixed_point(
 ) -> FixedPointVector:
     """Iterate t <- (A t)^(1/exponent) componentwise from all-ones.
 
-    The map is monotone on the positive cone and converges to the unique
-    positive fixed point for primitive matrices; non-convergence within the
-    iteration budget is a hard error.
+    For any matrix without zero rows the map sends the open positive cone
+    into itself, and it is a (1/exponent)-contraction in Thompson's metric
+    (Lemmens-Nussbaum, Nonlinear Perron-Frobenius Theory, 2012): A is
+    monotone and homogeneous of degree 1, so it does not expand the metric,
+    and the power 1/exponent scales it.  The iteration therefore converges
+    to the unique positive fixed point for every irreducible matrix,
+    periodic ones included; non-convergence within the iteration budget is
+    a hard error.
     """
     if exponent < 2:
         raise InvalidSystemError(f"fixed-point exponent must be >= 2, got {exponent}")
     check_tolerance(tol)
-    if not matrix.is_primitive():
-        raise InvalidSystemError("fixed-point vector requires a primitive matrix")
+    if 0 in matrix.row_sums:
+        raise InvalidSystemError("fixed-point vector requires a matrix without zero rows")
     m = matrix.m
     rows = matrix.rows
     t = [1.0] * m
@@ -123,11 +128,17 @@ def dimension_classical(sys: AffineSystem, tol: float = 1e-10) -> DimensionRepor
 class ChainPotential:
     """Backward dynamic program over one chain of full length i.
 
-    S[k] holds the cumulative weight sum_{j>k} chain_density(i, j)
-    (S[0] = S_1 > ... > S_{i-1} = S_i > 0, exact rationals).  Level values
-    u[k][x] aggregate admissible continuations below level k+1; the chain
-    potential ``value`` normalizes the induced optimal measure, and
-    log_m(value) weighted by S_1 is that measure's entropy payoff.
+    S[k] holds the cumulative weight sum_{j>k} chain_density(i, j) as an
+    exact rational; S[0] = rho_i is the density of chain starts of full
+    length i.  exponents[k] = S[k+1]/S[k] for k < i-1 and the last one is
+    0.0.  With the census-limit densities S[k] = rho_i * r^k for r = p1/q1,
+    so every exponent but the last equals r (see ``dimension_divisible``),
+    but this class computes them from the densities and does not assume it.
+    Level values u[k][x] aggregate admissible continuations below level
+    k+1; the chain potential ``value`` normalizes the induced optimal
+    measure, and log_m(value) weighted by S[0] is that measure's entropy
+    payoff.  It is the per-length reference that ``measures.chain_measure``
+    and the tests use; the series streams the same levels instead.
     """
 
     i: int
@@ -216,6 +227,28 @@ def chain_potential(i: int, sys: AffineSystem) -> ChainPotential:
 def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
     """Series of weighted chain-potential logs for the divisible-general case.
 
+    H = chain_density(1, 1) + sum_{i >= 2} rho_i * log_m Phi_i, where
+    rho_i = orbit_density(i) = sum_j chain_density(i, j) and
+    Phi_i = chain_potential(i).value.
+
+    The terms are streamed by one level recursion instead of one dynamic
+    program per length.  With r = p1/q1 the census-limit densities are
+    rho_i * r^(j-1) * (1-r) for j < i and rho_i * r^(i-1) for j = i, so
+    the cumulative weights S_k = sum_{j >= k} chain_density(i, j) are
+    S_k = rho_i * r^(k-1) for 1 <= k <= i: true at k = i, and
+    S_k = rho_i * r^(k-1) * (1-r) + rho_i * r^k = rho_i * r^(k-1) given it
+    at k+1 (at k = i-1 this reads rho_i * r^(i-2) * (1-r) + rho_i * r^(i-1)
+    = rho_i * r^(i-2)).  Every ratio S_{k+1}/S_k is therefore exactly r, and
+    the last exponent of ``chain_potential(i)`` is 0.  Its bottom level is
+    all ones, the level above it is the row-sum vector, and every higher
+    level applies F(v)_x = sum_{y : A[x][y] = 1} v[y]^r, which does not
+    depend on i.  Hence Phi_i = sum_x F^(i-2)(row sums)_x^r, and each term
+    costs one application of F, whose m powers also give Phi_i.  The floats
+    are the same operations in the same order as in ``chain_potential``
+    (each power is taken once and reused), so every contribution equals
+    ``chain_potential(i).value`` and ``float(chain_potential(i).weight())``
+    exactly.
+
     Truncated once the exact tail bound sum_{i>N} sum_j (j+1) * density
     drops below the tolerance (each omitted term is at most that row sum).
     """
@@ -225,21 +258,26 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
             "degenerate systems use the sublattice reduction"
         )
     check_tolerance(tol)
-    base = chain_density(1, 1, sys)
-    total = float(base)
+    successors = [[y for y, edge in enumerate(row) if edge] for row in sys.matrix.rows]
+    r = float(Fraction(sys.p1, sys.q1))
+    log2_m = math.log2(sys.m)
+    total = float(chain_density(1, 1, sys))
+    v = [float(s) for s in sys.matrix.row_sums]
     i = 2
     contributions = []
     while True:
-        pot = chain_potential(i, sys)
-        weight = float(pot.weight())
-        term = weight * pot.log_value()
+        powered = [vx**r for vx in v]
+        t_phi = sum(powered)
+        weight = float(orbit_density(i, sys))
+        term = weight * (math.log2(t_phi) / log2_m)
         total += term
         contributions.append(
-            {"i": i, "weight": weight, "t_phi": pot.value, "contribution": term}
+            {"i": i, "weight": weight, "t_phi": t_phi, "contribution": term}
         )
         tail = weighted_extra_census_tail(i, sys)
         if tail <= tol:
             break
+        v = [sum(powered[y] for y in ys) for ys in successors]
         i += 1
     return DimensionReport(
         value=total,

@@ -411,6 +411,18 @@ def chain_density(i: int, j: int, sys: AffineSystem) -> Fraction:
     return Fraction((q1 - 1) * (p1 - 1) * (q1 - p1), p * q1 ** (j + 1) * p1 ** (i - j))
 
 
+def orbit_density(i: int, sys: AffineSystem) -> Fraction:
+    """rho_i = sum_j chain_density(i, j) for i >= 2: the density of chain
+    starts whose orbit has exactly i members (derivation in chain_density).
+    """
+    if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
+        raise InvalidSystemError("orbit densities require the divisible-general case")
+    if i < 2:
+        raise ValueError(f"orbit density is defined for lengths >= 2, got {i}")
+    p, p1, q1 = sys.p, sys.p1, sys.q1
+    return Fraction((q1 - 1) * (p1 - 1), p * q1 * p1 ** (i - 1))
+
+
 def chain_density_column_tail(j: int, upto_i: int, sys: AffineSystem) -> Fraction:
     """Exact remainder of sum_{i > upto_i} chain_density(i, j) for j >= 2:
     the full column sums to window_length_density(j).

@@ -5,6 +5,8 @@ import pytest
 
 from affdim.cli import main
 
+GOLDEN = ((1, 1), (1, 0))
+
 
 @pytest.fixture()
 def golden_12(tmp_path):
@@ -24,10 +26,12 @@ def golden_23(tmp_path):
     return str(path)
 
 
-def system_file(tmp_path, pqab) -> str:
+def system_file(tmp_path, pqab, matrix=GOLDEN) -> str:
     p, q, a, b = pqab
-    path = tmp_path / f"golden_{p}{q}{a}{b}.json"
-    path.write_text(json.dumps({"m": 2, "matrix": [[1, 1], [1, 0]], "p": p, "q": q, "a": a, "b": b}))
+    path = tmp_path / f"system_{p}{q}{a}{b}_{len(matrix)}.json"
+    path.write_text(
+        json.dumps({"m": len(matrix), "matrix": [list(row) for row in matrix], "p": p, "q": q, "a": a, "b": b})
+    )
     return str(path)
 
 
@@ -160,6 +164,21 @@ class TestSampleAndBillingsley:
         assert abs(payload["mean"] - 0.8113705) < 0.05
         assert payload["stderr"] >= 0
 
+    @pytest.mark.parametrize("pqab", [(1, 3, 0, 0), (2, 4, 0, 0)])
+    def test_periodic_matrix(self, capsys, tmp_path, pqab):
+        # the fixed point and the stationary sampler accept a periodic matrix
+        path = system_file(tmp_path, pqab, ((0, 1), (1, 0)))
+        for argv in (
+            ["dim", "--kind", "both", "--tol", "1e-10"],
+            ["sample", "--n", "64", "--seed", "9"],
+            ["billingsley", "--n", "2000", "--samples", "4", "--seed", "4"],
+        ):
+            code, out, err = run(capsys, *argv, path)
+            assert code == 0, (argv, err)
+        # on the swap matrix a chain's first letter forces the rest, so each
+        # sample scores the share of chain starts, near the dimension 1 - 1/q
+        assert json.loads(out)["mean"] == pytest.approx(1 - 1 / pqab[1], abs=1e-3)
+
 
 class TestSweep:
     def test_csv_shape(self, capsys, golden_12):
@@ -258,9 +277,34 @@ PINNED_REPORTS = {
 }
 
 
+PRIMITIVE4 = ((0, 1, 1, 0), (1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 1))
+
+#: sha256 of the stdout of ``dim --kind both --tol TOL``, recorded while the
+#: divisible-general series still rebuilt ``chain_potential(i)`` for every i
+PINNED_DIM_REPORTS = {
+    ("1e-8", (2, 3, 0, 0), GOLDEN): "9437640a267f1ef9f26fceebd144076e529f36c86e941d997163b731fe9f2c51",
+    ("1e-8", (4, 6, 1, 3), GOLDEN): "d776971ded332d512c2684ef4d67c4b9d65033bbe0c60c979b7742ee54d37e7d",
+    ("1e-8", (2, 5, 0, 1), GOLDEN): "54166234dd57104c88b2ce78570989adcff33f41a4e597cbdff00f089e2b9e55",
+    ("1e-8", (3, 4, 0, 0), GOLDEN): "172362e4ddb83c7d536e9e0929530d2298988da1ae5fe26e4ecafb745c966cc9",
+    ("1e-8", (2, 3, 0, 0), PRIMITIVE4): "80b26f649600d928019eef76c3681e56199910b30d94e6b9526a0a5111a3b958",
+    ("1e-12", (2, 3, 0, 0), GOLDEN): "334ff57a48bad1a7b0e4872c43708095e28bb45d79767508da69066322942927",
+    ("1e-12", (4, 6, 1, 3), GOLDEN): "c236ce7bcb2cd571bd16e55c51dfc457ee3eb2e8e7e8a7807f65bbd5b427e328",
+    ("1e-12", (2, 5, 0, 1), GOLDEN): "1e2ef3eac49844530681cd77f76f9cbdf5308dd162a8a7b88ee075a7696605b5",
+    ("1e-12", (3, 4, 0, 0), GOLDEN): "3881c93d705516603c101f366852ac09873bba491ca27668037a1e7dbfdb2c82",
+    ("1e-12", (2, 3, 0, 0), PRIMITIVE4): "4052d54b8eea18d7fe2978fcd9e076f1b3250925004438de7f8cfaed7fd7df37",
+}
+
+
 class TestPinnedReports:
     @pytest.mark.parametrize(("command", "pqab"), list(PINNED_REPORTS))
     def test_report_bytes(self, capsys, tmp_path, command, pqab):
         code, out, _ = run(capsys, command, *PINNED_ARGS[command], system_file(tmp_path, pqab))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[(command, pqab)]
+
+    @pytest.mark.parametrize(("tol", "pqab", "matrix"), list(PINNED_DIM_REPORTS))
+    def test_dim_report_bytes(self, capsys, tmp_path, tol, pqab, matrix):
+        path = system_file(tmp_path, pqab, matrix)
+        code, out, _ = run(capsys, "dim", "--kind", "both", "--tol", tol, path)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIM_REPORTS[(tol, pqab, matrix)]

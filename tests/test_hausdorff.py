@@ -1,8 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affdim import InvalidSystemError, NumericalError, TransitionMatrix, chain_density, validate_system
 from affdim import minkowski
@@ -21,6 +24,30 @@ from conftest import BATTERY, FULL2, GOLDEN, random_irreducible, sys_full, sys_g
 
 # root of x^3 = x + 1; the golden-matrix ratio-2 fixed point is (r^2, r)
 PLASTIC = 1.3247179572447460
+
+SWAP = ((0, 1), (1, 0))
+#: irreducible with period 2 and every row sum 2
+BIPARTITE4 = ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))
+PERIODIC = (SWAP, BIPARTITE4, ((0, 1, 1), (1, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+
+
+@st.composite
+def divisible_general_systems(draw):
+    """Divisible-general systems on random irreducible matrices, periodic
+    ones included."""
+    p = draw(st.integers(2, 6))
+    q = draw(st.integers(p + 1, 12))
+    d = math.gcd(p, q)
+    a = draw(st.integers(0, 3))
+    b = draw(st.sampled_from([x for x in range(8) if (x - a) % d == 0]))
+    assume(p // d >= 2)
+    m = draw(st.integers(2, 5))
+    random_rows = st.lists(
+        st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=m, max_size=m
+    )
+    matrix = TransitionMatrix.from_rows(draw(st.one_of(st.sampled_from(PERIODIC), random_rows)))
+    assume(matrix.is_irreducible())
+    return validate_system(p, q, a, b, matrix)
 
 
 def explicit_pair_potential(matrix, w1: Fraction, w2: Fraction) -> float:
@@ -60,10 +87,16 @@ class TestFixedPoint:
         assert fp.values[0] == pytest.approx(2.0, abs=1e-12)
         assert fp.values[1] == pytest.approx(2.0, abs=1e-12)
 
-    def test_rejects_non_primitive(self):
-        swap = TransitionMatrix.from_rows([[0, 1], [1, 0]])
-        with pytest.raises(InvalidSystemError, match="primitive"):
-            power_fixed_point(swap, 2)
+    def test_swap_matrix_fixed_point(self):
+        # periodic, so not primitive; (1, 1) is fixed after the first step
+        fp = power_fixed_point(TransitionMatrix.from_rows(SWAP), 2)
+        assert fp.values == (1.0, 1.0)
+        assert fp.residual == 0.0
+
+    def test_rejects_zero_row(self):
+        # (A t)_x = 0 leaves the positive cone, so no positive fixed point
+        with pytest.raises(InvalidSystemError, match="zero rows"):
+            power_fixed_point(TransitionMatrix.from_rows([[1, 1], [0, 0]]), 2)
 
     def test_residual_budget_random(self):
         rng = random.Random(5)
@@ -228,6 +261,34 @@ class TestDivisibleGeneral:
         with pytest.raises(ValueError, match="positive and finite"):
             dimension(sys_golden(*pqab), tol=tol)
 
+    @given(divisible_general_systems(), st.sampled_from([1e-3, 1e-8, 1e-12]))
+    @settings(max_examples=60, deadline=None)
+    def test_stream_equals_chain_potentials(self, s, tol):
+        # the streamed levels are the reference dynamic program, bit for bit
+        report = dimension_divisible(s, tol=tol)
+        r = Fraction(s.p1, s.q1)
+        assert [c["i"] for c in report.contributions] == list(range(2, report.truncation_index + 1))
+        for c in report.contributions:
+            pot = chain_potential(c["i"], s)
+            assert c["t_phi"] == pot.value
+            assert c["weight"] == float(pot.weight())
+            assert c["contribution"] == c["weight"] * pot.log_value()
+            # the identity the stream relies on, in exact arithmetic
+            assert all(hi / lo == r for lo, hi in zip(pot.S, pot.S[1:]))
+            assert all(e == float(r) for e in pot.exponents[:-1])
+            assert pot.exponents[-1] == 0.0
+
+    def test_tiny_tolerance_is_cheap(self):
+        s = sys_golden(2, 3, 0, 0)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            report = dimension(s, tol=1e-200)
+            best = min(best, time.perf_counter() - start)
+        assert report.tail_bound <= 1e-200
+        assert report.value == pytest.approx(0.869825, abs=1e-6)
+        assert best < 0.5
+
     def test_tail_bound_is_the_last_tail(self):
         s = sys_golden(4, 6, 1, 3)
         report = dimension_divisible(s, tol=1e-9)
@@ -281,3 +342,13 @@ class TestDispatchAndGap:
             pqab = BATTERY[rng.randrange(len(BATTERY))]
             _, _, gap = comparison_gap(validate_system(*pqab, mat), tol=1e-10)
             assert gap >= -1e-9
+
+    @pytest.mark.parametrize("rows", [SWAP, BIPARTITE4])
+    def test_periodic_equal_row_sums_meet_box_dimension(self, rows):
+        # with equal row sums H = M in every case; the fixed-point cases used
+        # to refuse these matrices for not being primitive
+        for pqab in BATTERY:
+            s = validate_system(*pqab, rows)
+            h = dimension(s, tol=1e-10)
+            mk = minkowski.dimension(s, tol=1e-10)
+            assert abs(h.value - mk.value) <= mk.tail_bound + 1e-12

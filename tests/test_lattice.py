@@ -22,6 +22,7 @@ from affdim.lattice import (
     chain_density_column_tail,
     chain_walk,
     density_table,
+    orbit_density,
     weighted_census_tail,
     window_counts,
 )
@@ -276,6 +277,16 @@ class TestDensities:
         # row 2 holds every start 2y with y odd and 3 not dividing y:
         # (1/4)(2/3) = 1/6 = 1/18 + 1/9
         assert table.row_weight(2) == Fraction(1, 6)
+
+    @pytest.mark.parametrize("pqab", [(2, 3, 0, 0), (4, 6, 1, 3), (3, 5, 1, 2), (6, 9, 2, 5)])
+    def test_orbit_density_is_the_row_weight(self, pqab):
+        s = sys_golden(*pqab)
+        table = density_table(s, 9)
+        assert all(orbit_density(i, s) == table.row_weight(i) for i in range(2, 10))
+        with pytest.raises(ValueError):
+            orbit_density(1, s)
+        with pytest.raises(InvalidSystemError):
+            orbit_density(2, sys_golden(2, 4, 0, 0))
 
 
 def census_limit_coprime(i: int, j: int, p: int, q: int) -> Fraction:

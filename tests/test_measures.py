@@ -20,6 +20,9 @@ from affdim.oracle import admissible_words, window_pairs
 from conftest import GOLDEN, random_irreducible, sys_full, sys_golden
 
 
+PERIODIC3 = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+
+
 def marginal_entropy(measure, matrix, j: int) -> float:
     """H(alpha_j) in base m from the measure's j-letter marginals."""
     total = 0.0
@@ -199,6 +202,15 @@ class TestLocalDimension:
         s = sys_golden(1, 2, 0, 0)
         target = dim_h(s, tol=1e-10).value
         mean, stderr = empirical_local_dimension(s, 20_000, seed=11, samples=12)
+        assert abs(mean - target) <= 0.02
+
+    @pytest.mark.parametrize("pqab", [(1, 2, 0, 0), (2, 4, 0, 0)])
+    def test_periodic_fixed_point_converges(self, pqab):
+        # period 2, so the fixed point and the stationary sampler run on a
+        # matrix that is not primitive
+        s = validate_system(*pqab, PERIODIC3)
+        target = dim_h(s, tol=1e-10).value
+        mean, _ = empirical_local_dimension(s, 20_000, seed=11, samples=12)
         assert abs(mean - target) <= 0.02
 
     def test_nondivisible_converges(self):
