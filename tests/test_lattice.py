@@ -158,6 +158,25 @@ class TestChainWalk:
                 sampled[positions] = key
         assert sampled == {c.positions: "inf" if c.truncated else c.full_length for c in chains}
 
+    @pytest.mark.parametrize(
+        "pqab",
+        [
+            (2, 999, 0, 0),  # orbits leave the int64 range past the window
+            (3, 1000, 1, 2),
+            (4, 10, 0, 2),  # d > 1: the valuation is taken at the first index
+            (6, 9, 0, 3),
+        ],
+    )
+    def test_matches_decompose_on_large_q_and_non_coprime(self, pqab):
+        s = sys_golden(*pqab)
+        n = 3000
+        chains = decompose(n, s).chains
+        walk = chain_walk(n, s)
+        assert walk.starts.tolist() == [c.start for c in chains]
+        assert walk.window.tolist() == [c.window_count for c in chains]
+        assert walk.full_length.tolist() == [c.full_length for c in chains]
+        assert walk.truncated.tolist() == [c.truncated for c in chains]
+
 
 class TestEmpiricalCensus:
     @given(small_systems, st.integers(1, 300))
