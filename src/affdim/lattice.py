@@ -17,10 +17,6 @@ import numpy as np
 
 from .core import AffineSystem, CaseTag, InvalidSystemError
 
-#: extra successor steps taken past the window before a chain is marked
-#: truncated; finite chains in practice end after O(log n) steps.
-FULL_LENGTH_CAP = 128
-
 
 def successor(x: int, sys: AffineSystem) -> int | None:
     """Next position linked to x, or None when x ends its chain.
@@ -68,8 +64,9 @@ class Chain:
     """One maximal chain: its window members plus total orbit length.
 
     ``positions`` lists the members <= n in increasing order.  full_length
-    counts the whole orbit, continuing past the window; truncated chains hit
-    the iteration cap (their orbit is infinite or merely very long).
+    counts the whole orbit, continuing past the window.  A truncated chain
+    has an infinite orbit (p1 = 1 in the divisible case); its full_length
+    counts only the window members.
     """
 
     positions: tuple[int, ...]
@@ -109,7 +106,8 @@ class ChainDecomposition:
 class Census:
     """Chain tallies: L[(i, j)] counts chains of full length i with j window
     members; D[j] counts chains with j window members regardless of full
-    length; truncated[j] tallies capped (effectively infinite) chains."""
+    length; truncated[j] tallies the chains with an infinite orbit, which
+    L leaves out."""
 
     n: int
     L: dict[tuple[int, int], int]
@@ -130,12 +128,15 @@ def _infinite_orbits(sys: AffineSystem) -> bool:
     return sys.p1 == 1 and sys.divisible
 
 
-def decompose(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainDecomposition:
+def decompose(n: int, sys: AffineSystem) -> ChainDecomposition:
     """Partition {1, ..., n} into maximal chains.
 
     A chain starts at any position with no predecessor inside the window and
-    extends by the successor map while the image stays <= n; the orbit is
-    then followed past n (up to ``cap`` extra steps) to record full_length.
+    extends by the successor map while the image stays <= n.  A finite orbit
+    is then followed past n, one successor at a time, to record full_length;
+    an infinite orbit (p1 = 1 in the divisible case) is marked truncated
+    instead.  This scalar walk is the reference that ``chain_walk`` and
+    ``window_counts`` are tested against.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
@@ -153,21 +154,11 @@ def decompose(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainDec
                 break
             positions.append(nxt)
         full = len(positions)
-        truncated = False
-        cur = positions[-1]
-        nxt = successor(cur, sys)
-        if nxt is not None and infinite:
-            truncated = True
-        else:
-            extra = 0
-            while nxt is not None:
-                extra += 1
-                if extra > cap:
-                    truncated = True
-                    break
-                full += 1
-                cur = nxt
-                nxt = successor(cur, sys)
+        nxt = successor(positions[-1], sys)
+        truncated = nxt is not None and infinite
+        while nxt is not None and not truncated:
+            full += 1
+            nxt = successor(nxt, sys)
         chains.append(Chain(tuple(positions), full, truncated))
     return ChainDecomposition(n=n, chains=tuple(chains))
 
@@ -175,7 +166,7 @@ def decompose(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainDec
 class ChainWalk(NamedTuple):
     """Every chain meeting {1, ..., n} as parallel arrays ordered by start:
     the start, the number of window members, the full orbit length, and
-    whether the orbit hit the iteration cap (see ``Chain``)."""
+    whether the orbit is infinite (see ``Chain``)."""
 
     starts: np.ndarray
     window: np.ndarray
@@ -183,16 +174,41 @@ class ChainWalk(NamedTuple):
     truncated: np.ndarray
 
 
-def chain_walk(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainWalk:
+def _check_int64(n: int, sys: AffineSystem) -> None:
+    # the largest magnitudes chain_walk forms: positions and their offsets,
+    # successor images q*k + b of window positions, and w = (q1-p1)*k + c
+    reach = (n + abs(sys.a)) // sys.p + 1
+    largest = max(
+        sys.q * reach + abs(sys.b),
+        (sys.q1 - sys.p1) * reach + abs(sys.c or 0),
+    )
+    if largest > np.iinfo(np.int64).max:
+        raise InvalidSystemError(
+            f"window n={n} of {sys.describe()} takes the vectorized chain walk "
+            f"past the int64 range; decompose and window_counts are exact"
+        )
+
+
+def chain_walk(n: int, sys: AffineSystem) -> ChainWalk:
     """The chains of ``decompose`` without materializing them.
 
-    Window walks are vectorized over all chain starts, one level at a time;
-    the much shorter beyond-window continuation falls back to exact integer
-    arithmetic once positions approach the int64 range.
+    Window walks are vectorized over all chain starts, one level at a time.
+    Full orbit lengths need no walk past the window.  A start s has a
+    successor iff s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.
+    The image q*k + b of index k is a + d*(q1*k + c) in the divisible case,
+    which is again p*k' + a iff p1 divides q1*k + c, that is iff p1 divides
+    w(k) = (q1 - p1)*k + c; then k' = k + w(k)/p1 and w(k') = (q1/p1)*w(k).
+    The first pair increases, so w > 0 and k' > k >= k_min: every such step
+    is taken.  Since q1 is prime to p1, each step removes exactly one factor
+    p1 from w.  So with p1 >= 2 the orbit has 2 + v(w(k0)) members, v
+    counting how often p1 divides; with p1 = 1 every step is taken and the
+    orbit is infinite.  In the non-divisible case d never divides the image
+    minus a, so the orbit is the pair {s, q*k0 + b}.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
     _check_monotone(sys)
+    _check_int64(n, sys)
     p, q, a, b, k_min = sys.p, sys.q, sys.a, sys.b, sys.k_min
 
     pos = np.arange(1, n + 1, dtype=np.int64)
@@ -205,7 +221,6 @@ def chain_walk(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainWa
 
     # only the chains that advance are touched, and they thin out fast
     window = np.ones(len(starts), dtype=np.int64)
-    last = starts.copy()
     cur = starts
     ids = np.arange(len(starts))
     level = 1
@@ -217,21 +232,32 @@ def chain_walk(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> ChainWa
         cur, ids = nxt[adv], ids[adv]
         level += 1
         window[ids] = level
-        last[ids] = cur
 
-    full, truncated = _extend_full_lengths(last, window, sys, cap)
-    return ChainWalk(starts, window, full, truncated)
+    offs = starts - a
+    k0 = offs // p
+    has_next = (offs % p == 0) & (k0 >= k_min)
+    if _infinite_orbits(sys):
+        return ChainWalk(starts, window, window.copy(), has_next)
+    full = has_next.astype(np.int64) + 1
+    if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
+        ids = np.nonzero(has_next)[0]
+        w = (sys.q1 - sys.p1) * k0[ids] + sys.c
+        while len(ids):
+            divides = w % sys.p1 == 0
+            ids, w = ids[divides], w[divides] // sys.p1
+            full[ids] += 1
+    return ChainWalk(starts, window, full, np.zeros(len(starts), dtype=bool))
 
 
-def empirical_census(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> Census:
-    """Chain census over {1, ..., n}: one bincount over ``chain_walk``."""
-    walk = chain_walk(n, sys, cap)
-    wl = walk.window
-    max_w = int(wl.max())
-    stride = max_w + 2
-    sentinel = cap + max_w + 1
-    full_capped = np.where(walk.truncated, sentinel, walk.full_length)
-    keys = full_capped * stride + wl
+def empirical_census(n: int, sys: AffineSystem) -> Census:
+    """Chain census over {1, ..., n}: one bincount over ``chain_walk``.
+
+    Chains with an infinite orbit take full-length key 0, as in
+    ``measures.PrefixMeasure``, and are tallied in ``truncated``.
+    """
+    walk = chain_walk(n, sys)
+    stride = int(walk.window.max()) + 1
+    keys = np.where(walk.truncated, 0, walk.full_length) * stride + walk.window
     counts = np.bincount(keys)
 
     L: dict[tuple[int, int], int] = {}
@@ -241,7 +267,7 @@ def empirical_census(n: int, sys: AffineSystem, cap: int = FULL_LENGTH_CAP) -> C
         i, j = divmod(int(key), stride)
         c = int(counts[key])
         D[j] = D.get(j, 0) + c
-        if i == sentinel:
+        if i == 0:
             truncated[j] = truncated.get(j, 0) + c
         else:
             L[(i, j)] = L.get((i, j), 0) + c
@@ -292,56 +318,6 @@ def window_counts(n: int, sys: AffineSystem) -> dict[int, int]:
         if count:
             D[j] = count
     return D
-
-
-def _extend_full_lengths(last, wlen, sys: AffineSystem, cap):
-    """Continue chains past the window: returns (full_length, truncated)."""
-    p, q, a, b, k_min = sys.p, sys.q, sys.a, sys.b, sys.k_min
-    full = wlen.copy()
-    truncated = np.zeros(len(last), dtype=bool)
-    if not len(last):
-        return full, truncated
-
-    offs = last - a
-    kk = offs // p
-    alive = (offs % p == 0) & (kk >= k_min)
-    if _infinite_orbits(sys):
-        truncated[alive] = True
-        return full, truncated
-
-    idx = np.nonzero(alive)[0]
-    cur = q * kk[alive] + b
-    extra = 1
-    overflow_guard = (np.iinfo(np.int64).max - abs(b)) // max(q, 1) // 2
-    while len(idx):
-        full[idx] += 1
-        if extra >= cap:
-            truncated[idx] = True
-            break
-        if cur.max() > overflow_guard:
-            # handful of survivors: finish with exact integers
-            for pos_i, chain_i in zip(cur.tolist(), idx.tolist()):
-                steps = extra
-                x = pos_i
-                while True:
-                    o = x - a
-                    kq, rem = divmod(o, p)
-                    if rem != 0 or kq < k_min:
-                        break
-                    steps += 1
-                    if steps > cap:
-                        truncated[chain_i] = True
-                        break
-                    full[chain_i] += 1
-                    x = q * kq + b
-            break
-        offs = cur - a
-        kk = offs // p
-        valid = (offs % p == 0) & (kk >= k_min)
-        idx = idx[valid]
-        cur = q * kk[valid] + b
-        extra += 1
-    return full, truncated
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineSystem, CaseTag, InvalidSystemError, NumericalError
+from .core import AffineSystem, CaseTag, InvalidSystemError
 from .hausdorff import chain_potential, power_fixed_point
 from .lattice import chain_walk
 
@@ -132,7 +132,7 @@ class PrefixMeasure:
         self.n = n
         p, q, a, b = sys.p, sys.q, sys.a, sys.b
         walk = chain_walk(n, sys)
-        # one family per full length; capped chains (key 0) carry "inf"
+        # one family per full length; infinite orbits (key 0) carry "inf"
         keys = np.where(walk.truncated, 0, walk.full_length)
         # within a family, longest window first so each level is a prefix
         order = np.lexsort((walk.starts, -walk.window, keys))
@@ -152,10 +152,6 @@ class PrefixMeasure:
         if key == 1:
             return letter_measure(sys.m)
         if key == "inf":
-            if sys.p1 != 1:
-                raise NumericalError(
-                    "chain hit the orbit-length cap in a finite-chain system"
-                )
             return stationary_chain_measure(sys)
         if sys.case_tag is CaseTag.NON_DIVISIBLE:
             return pair_measure(sys)

@@ -179,6 +179,12 @@ class TestSampleAndBillingsley:
         # sample scores the share of chain starts, near the dimension 1 - 1/q
         assert json.loads(out)["mean"] == pytest.approx(1 - 1 / pqab[1], abs=1e-3)
 
+    @pytest.mark.parametrize(("pqab", "n"), [((2, 10**18 + 1, 0, 0), "100"), ((2, 3, 0, 10**19), "10")])
+    def test_window_past_int64_exits_one(self, capsys, tmp_path, pqab, n):
+        code, out, err = run(capsys, "sample", "--n", n, "--seed", "1", system_file(tmp_path, pqab))
+        assert code == 1
+        assert out == "" and "int64" in err
+
 
 class TestSweep:
     def test_csv_shape(self, capsys, golden_12):

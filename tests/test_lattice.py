@@ -148,6 +148,10 @@ class TestChainWalk:
         assert walk.window.tolist() == [c.window_count for c in chains]
         assert walk.full_length.tolist() == [c.full_length for c in chains]
         assert walk.truncated.tolist() == [c.truncated for c in chains]
+        # truncated means an infinite orbit: p1 = 1 in the divisible case,
+        # where every start with a successor never stops
+        infinite = s.p1 == 1 and s.divisible
+        assert walk.truncated.tolist() == [infinite and successor(c.start, s) is not None for c in chains]
         # the sampler's per-level position arrays, read back chain by chain
         sampled = {}
         for group in PrefixMeasure(s, n)._groups:
@@ -176,6 +180,15 @@ class TestChainWalk:
         assert walk.window.tolist() == [c.window_count for c in chains]
         assert walk.full_length.tolist() == [c.full_length for c in chains]
         assert walk.truncated.tolist() == [c.truncated for c in chains]
+
+    @pytest.mark.parametrize(("pqab", "n"), [((2, 10**18 + 1, 0, 0), 100), ((2, 3, 0, 10**19), 10)])
+    def test_refuses_windows_past_int64(self, pqab, n):
+        s = sys_golden(*pqab)
+        for build in (chain_walk, empirical_census, lambda n, s: PrefixMeasure(s, n)):
+            with pytest.raises(InvalidSystemError, match="int64.*decompose and window_counts"):
+                build(n, s)
+        # the exact routes still answer
+        assert window_counts(n, s) == decompose(n, s).census().D
 
 
 class TestEmpiricalCensus:
