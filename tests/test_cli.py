@@ -284,20 +284,40 @@ PINNED_REPORTS = {
 
 
 PRIMITIVE4 = ((0, 1, 1, 0), (1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 1))
+SWAP = ((0, 1), (1, 0))
 
-#: sha256 of the stdout of ``dim --kind both --tol TOL``, recorded while the
-#: divisible-general series still rebuilt ``chain_potential(i)`` for every i
+#: sha256 of the stdout of ``dim --kind both --tol TOL``.  The (2,3;0,0),
+#: (4,6;1,3), (2,5;0,1) and (3,4;0,0) rows were recorded while the
+#: divisible-general series still rebuilt ``chain_potential(i)`` for every i;
+#: the others (classical, degenerate and non-divisible Hausdorff cases) while
+#: ``power_fixed_point`` still had its own iteration loop
 PINNED_DIM_REPORTS = {
     ("1e-8", (2, 3, 0, 0), GOLDEN): "9437640a267f1ef9f26fceebd144076e529f36c86e941d997163b731fe9f2c51",
     ("1e-8", (4, 6, 1, 3), GOLDEN): "d776971ded332d512c2684ef4d67c4b9d65033bbe0c60c979b7742ee54d37e7d",
     ("1e-8", (2, 5, 0, 1), GOLDEN): "54166234dd57104c88b2ce78570989adcff33f41a4e597cbdff00f089e2b9e55",
     ("1e-8", (3, 4, 0, 0), GOLDEN): "172362e4ddb83c7d536e9e0929530d2298988da1ae5fe26e4ecafb745c966cc9",
     ("1e-8", (2, 3, 0, 0), PRIMITIVE4): "80b26f649600d928019eef76c3681e56199910b30d94e6b9526a0a5111a3b958",
+    ("1e-8", (1, 2, 0, 0), GOLDEN): "e116a4c33d3518f185997acf3aad8cf900942b72041c4d2d6e1c6129cd319710",
+    ("1e-8", (1, 3, 1, 0), GOLDEN): "d3bc5d7fad8eb69aad3362d4bdb779a4ed97c33fd107f10b66592aa0f0ed4529",
+    ("1e-8", (2, 4, 0, 0), GOLDEN): "0a384aebc2e12ac31849887ae09e9b2eb439254f41eb7f7d58629a172b81030f",
+    ("1e-8", (3, 6, 1, 4), GOLDEN): "93c4f0ca85d9c8b17646cd271c261fceb109d9956d8f574b15d5d2c313283449",
+    ("1e-8", (2, 4, 0, 1), GOLDEN): "cad41978fee8210e565ceafc4719fbec3c2830db7e9c8cbacf0ee12054e0fe2c",
+    ("1e-8", (1, 3, 0, 0), SWAP): "f77e2e95876c54e0a91890d995c1da7b6023f3452e1307bd127b6cd3a41e86df",
+    ("1e-8", (2, 4, 0, 0), SWAP): "8e3fd2d7e5a59e35807c19d388f36a30634d2695aed044bbee6441ef7864e9b2",
+    ("1e-8", (1, 2, 0, 0), PRIMITIVE4): "48b167e51d8a4f72d11f90ecc1034ffa1c380f0cfd07b66d6304172a01e2f05f",
     ("1e-12", (2, 3, 0, 0), GOLDEN): "334ff57a48bad1a7b0e4872c43708095e28bb45d79767508da69066322942927",
     ("1e-12", (4, 6, 1, 3), GOLDEN): "c236ce7bcb2cd571bd16e55c51dfc457ee3eb2e8e7e8a7807f65bbd5b427e328",
     ("1e-12", (2, 5, 0, 1), GOLDEN): "1e2ef3eac49844530681cd77f76f9cbdf5308dd162a8a7b88ee075a7696605b5",
     ("1e-12", (3, 4, 0, 0), GOLDEN): "3881c93d705516603c101f366852ac09873bba491ca27668037a1e7dbfdb2c82",
     ("1e-12", (2, 3, 0, 0), PRIMITIVE4): "4052d54b8eea18d7fe2978fcd9e076f1b3250925004438de7f8cfaed7fd7df37",
+    ("1e-12", (1, 2, 0, 0), GOLDEN): "895f099ab24c5b8374deb5e98cc7570b918eb932c714629f89bb4a0089ca2227",
+    ("1e-12", (1, 3, 1, 0), GOLDEN): "e931a8fee6e8e3c84905ab0cc5ca33a4eaeb4e18bef8142172a4663486ee8ddf",
+    ("1e-12", (2, 4, 0, 0), GOLDEN): "1fe20a2feee9e639796aebedb374f4cf88959f547199648d5894f919c36285fd",
+    ("1e-12", (3, 6, 1, 4), GOLDEN): "bd437d5d561bcbe574e81baa776459b5348a712ea8ef5e0d5a608a50b11ae2c5",
+    ("1e-12", (2, 4, 0, 1), GOLDEN): "e707fee8a2612be77e9ca0109dca37cdecf50de1d5f52b04197494d5f113d87c",
+    ("1e-12", (1, 3, 0, 0), SWAP): "554ab709c18986321d6670da3d591fe743dcb6f95770dd3ed03e9af3c83392af",
+    ("1e-12", (2, 4, 0, 0), SWAP): "4de0b0c6e7f673fcc4a3d3008fac2c92b73b753634a4094eeb25e73027975c60",
+    ("1e-12", (1, 2, 0, 0), PRIMITIVE4): "1ef84f7cbf380e57dd5cbf45f997770c8e03036adcbecea8dfe86b265de95abc",
 }
 
 
