@@ -12,27 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, hausdorff, higher_order, measures, minkowski, oracle
 from .core import InvalidSystemError, NumericalError, load_system
 from .lattice import decompose
-
-
-def thread_cap() -> int:
-    """Worker count from AFFDIM_THREADS (0 or unset = single-threaded)."""
-    raw = os.environ.get("AFFDIM_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidSystemError(f"AFFDIM_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise InvalidSystemError(f"AFFDIM_THREADS must be >= 0, got {value}")
-    return value
 
 
 def _emit(payload: dict) -> None:
@@ -54,8 +41,9 @@ def _parse_grid(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        value = float(part)
-        if value < 1 or value != int(value):
+        # parsed exactly, as float() would round entries past 2**53; no "p/q" form
+        value = Fraction(part) if "/" not in part else None
+        if value is None or value < 1 or value.denominator != 1:
             raise InvalidSystemError(f"grid entries must be positive integers, got {part!r}")
         grid.append(int(value))
     if not grid:
@@ -187,16 +175,7 @@ def cmd_sweep(args) -> None:
             "Minkowski dimension; use --kind minkowski"
         )
     closed = minkowski.dimension(system, args.tol).value
-
-    def point(n: int) -> tuple[int, float]:
-        return n, minkowski.empirical_dimension(n, system)
-
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, grid))
-    else:
-        results = [point(n) for n in grid]
+    results = [(n, minkowski.empirical_dimension(n, system)) for n in grid]
     config = _config(args, system_dict=system.to_json_dict())
     if args.format == "json":
         _emit(

@@ -84,16 +84,8 @@ class TransitionMatrix:
         return tuple(sum(r) for r in self.rows)
 
     @property
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r[j] for r in self.rows) for j in range(self.m))
-
-    @property
     def entry_sum(self) -> int:
         return sum(self.row_sums)
-
-    def all_row_sums_equal(self) -> bool:
-        rs = self.row_sums
-        return min(rs) == max(rs)
 
     def is_irreducible(self) -> bool:
         """True iff the digraph with edge i->j whenever rows[i][j] == 1 is

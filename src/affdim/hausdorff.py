@@ -39,6 +39,17 @@ class FixedPointVector:
         return sum(self.values)
 
 
+def _levels(matrix: TransitionMatrix, r: float):
+    """Yield [v_x**r] for v = row sums, F(row sums), F(F(row sums)), ...
+    where F(v)_x = sum_{y : A[x][y] = 1} v[y]**r, each power taken once."""
+    successors = [[y for y, edge in enumerate(row) if edge] for row in matrix.rows]
+    v = [float(s) for s in matrix.row_sums]
+    while True:
+        powered = [vx**r for vx in v]
+        yield powered
+        v = [sum(powered[y] for y in ys) for ys in successors]
+
+
 def power_fixed_point(
     matrix: TransitionMatrix,
     exponent: int,
@@ -47,37 +58,28 @@ def power_fixed_point(
 ) -> FixedPointVector:
     """Iterate t <- (A t)^(1/exponent) componentwise from all-ones.
 
-    For any matrix without zero rows the map sends the open positive cone
-    into itself, and it is a (1/exponent)-contraction in Thompson's metric
-    (Lemmens-Nussbaum, Nonlinear Perron-Frobenius Theory, 2012): A is
-    monotone and homogeneous of degree 1, so it does not expand the metric,
-    and the power 1/exponent scales it.  The iteration therefore converges
-    to the unique positive fixed point for every irreducible matrix,
-    periodic ones included; non-convergence within the iteration budget is
-    a hard error.
+    The k-th iterate is F^(k-1)(row sums)^(1/exponent), F the map of
+    ``_levels`` at r = 1/exponent.  For any matrix without zero rows it sends
+    the open positive cone into itself and is a (1/exponent)-contraction in
+    Thompson's metric (Lemmens-Nussbaum, Nonlinear Perron-Frobenius Theory,
+    2012): A is monotone and homogeneous of degree 1, so it does not expand
+    the metric, and the power 1/exponent scales it.  The iteration therefore
+    converges to the unique positive fixed point for every irreducible
+    matrix, periodic ones included; non-convergence within the iteration
+    budget is a hard error.
     """
     if exponent < 2:
         raise InvalidSystemError(f"fixed-point exponent must be >= 2, got {exponent}")
     check_tolerance(tol)
     if 0 in matrix.row_sums:
         raise InvalidSystemError("fixed-point vector requires a matrix without zero rows")
-    m = matrix.m
-    rows = matrix.rows
-    t = [1.0] * m
-    inv = 1.0 / exponent
-
-    def residual_of(vec):
-        return max(
-            abs(vec[i] ** exponent - sum(rows[i][j] * vec[j] for j in range(m)))
-            for i in range(m)
-        )
-
-    for iteration in range(1, max_iterations + 1):
-        nxt = [sum(rows[i][j] * t[j] for j in range(m)) ** inv for i in range(m)]
-        step = max(abs(nxt[i] - t[i]) for i in range(m))
+    t = [1.0] * matrix.m
+    for iteration, nxt in zip(range(1, max_iterations + 1), _levels(matrix, 1.0 / exponent)):
+        step = max(abs(nx - tx) for nx, tx in zip(nxt, t))
         t = nxt
         if step < tol / 10:
-            res = residual_of(t)
+            res = max(abs(tx**exponent - sum(a * ty for a, ty in zip(row, t)))
+                      for tx, row in zip(t, matrix.rows))
             if res < tol:
                 return FixedPointVector(
                     values=tuple(t), exponent=exponent, residual=res, iterations=iteration
@@ -85,6 +87,12 @@ def power_fixed_point(
     raise NumericalError(
         f"fixed-point iteration did not reach residual {tol} in {max_iterations} steps"
     )
+
+
+def _ratio_dimension(matrix: TransitionMatrix, q: int, tol: float) -> tuple[float, FixedPointVector]:
+    """((q-1)/q) log_m(sum_i t_i) for the fixed point t^q = A t, and that point."""
+    fp = power_fixed_point(matrix, q, tol=min(tol, 1e-12))
+    return (q - 1) / q * math.log2(fp.total) / math.log2(matrix.m), fp
 
 
 def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
@@ -111,8 +119,7 @@ def dimension_classical(sys: AffineSystem, tol: float = 1e-10) -> DimensionRepor
     do not enter."""
     if sys.case_tag is not CaseTag.CLASSICAL:
         raise InvalidSystemError(f"classical formula called on {sys.case_tag.value} system")
-    fp = power_fixed_point(sys.matrix, sys.q, tol=min(tol, 1e-12))
-    value = (sys.q - 1) / sys.q * math.log2(fp.total) / math.log2(sys.m)
+    value, fp = _ratio_dimension(sys.matrix, sys.q, tol)
     return DimensionReport(
         value=value,
         kind="hausdorff",
@@ -243,7 +250,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     all ones, the level above it is the row-sum vector, and every higher
     level applies F(v)_x = sum_{y : A[x][y] = 1} v[y]^r, which does not
     depend on i.  Hence Phi_i = sum_x F^(i-2)(row sums)_x^r, and each term
-    costs one application of F, whose m powers also give Phi_i.  The floats
+    costs one level of ``_levels``, whose m powers also give Phi_i.  The floats
     are the same operations in the same order as in ``chain_potential``
     (each power is taken once and reused), so every contribution equals
     ``chain_potential(i).value`` and ``float(chain_potential(i).weight())``
@@ -258,15 +265,10 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
             "degenerate systems use the sublattice reduction"
         )
     check_tolerance(tol)
-    successors = [[y for y, edge in enumerate(row) if edge] for row in sys.matrix.rows]
-    r = float(Fraction(sys.p1, sys.q1))
     log2_m = math.log2(sys.m)
     total = float(chain_density(1, 1, sys))
-    v = [float(s) for s in sys.matrix.row_sums]
-    i = 2
     contributions = []
-    while True:
-        powered = [vx**r for vx in v]
+    for i, powered in enumerate(_levels(sys.matrix, float(Fraction(sys.p1, sys.q1))), 2):
         t_phi = sum(powered)
         weight = float(orbit_density(i, sys))
         term = weight * (math.log2(t_phi) / log2_m)
@@ -277,8 +279,6 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         tail = weighted_extra_census_tail(i, sys)
         if tail <= tol:
             break
-        v = [sum(powered[y] for y in ys) for ys in successors]
-        i += 1
     return DimensionReport(
         value=total,
         kind="hausdorff",
@@ -303,8 +303,7 @@ def dimension_degenerate(sys: AffineSystem, tol: float = 1e-10) -> DimensionRepo
         raise InvalidSystemError(
             f"degenerate reduction called on {sys.case_tag.value} system"
         )
-    fp = power_fixed_point(sys.matrix, sys.q1, tol=min(tol, 1e-12))
-    ratio_dim = (sys.q1 - 1) / sys.q1 * math.log2(fp.total) / math.log2(sys.m)
+    ratio_dim, _ = _ratio_dimension(sys.matrix, sys.q1, tol)
     value = (1 - 1 / sys.p) + ratio_dim / sys.p
     literal = 1 - Fraction(1, sys.p) - Fraction(1, sys.q) + Fraction(1, sys.d * sys.p1 * sys.q1)
     return DimensionReport(

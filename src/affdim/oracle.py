@@ -9,7 +9,6 @@ over the probability simplex on admissible words.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,8 +30,6 @@ Constraint = tuple[tuple[int, ...], frozenset[tuple[int, ...]]]
 class EnumerationResult:
     n: int
     count: int
-    elapsed: float
-    method: str
 
 
 def window_pairs(n: int, sys: AffineSystem) -> list[tuple[int, int]]:
@@ -73,22 +70,18 @@ def brute_force_count(
     n: int,
     sys: AffineSystem,
     extra_constraints: Iterable[tuple[Sequence[int], Iterable[Sequence[int]]]] | None = None,
-    method: str = "auto",
+    method: str = "frontier",
 ) -> EnumerationResult:
     """Exact count of words on {1, ..., n} satisfying every pairwise
     constraint and every fully-in-window extra constraint.
 
     ``method``: "frontier" streams position by position remembering only the
     letters still awaited by a future constraint (a memoized depth-first
-    search); "dfs" is the plain recursive enumeration with early pruning;
-    "auto" picks frontier.
+    search); "dfs" is the plain recursive enumeration with early pruning.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
-    start = time.perf_counter()
     extras = _normalize_extra(extra_constraints, n, sys.m)
-    if method == "auto":
-        method = "frontier"
     if method == "frontier":
         counts = _frontier_counts(n, sys, extras)
         count = counts[-1]
@@ -96,9 +89,7 @@ def brute_force_count(
         count = _dfs_count(n, sys, extras)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return EnumerationResult(
-        n=n, count=count, elapsed=time.perf_counter() - start, method=method
-    )
+    return EnumerationResult(n=n, count=count)
 
 
 def brute_force_counts_upto(

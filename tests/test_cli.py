@@ -201,18 +201,24 @@ class TestSweep:
         assert code == 1
         assert "minkowski" in err
 
-    def test_thread_cap_env(self, capsys, golden_12, monkeypatch):
-        monkeypatch.setenv("AFFDIM_THREADS", "4")
-        code, out, _ = run(capsys, "sweep", "--n-grid", "1e3,1e4,1e5", golden_12)
+    def test_output_ignores_thread_variable(self, capsys, golden_12, monkeypatch):
+        monkeypatch.delenv("AFFDIM_THREADS", raising=False)
+        outputs = [run(capsys, "sweep", "--n-grid", "1e3,1e4,1e5", golden_12)]
+        for value in ("4", "lots"):
+            monkeypatch.setenv("AFFDIM_THREADS", value)
+            outputs.append(run(capsys, "sweep", "--n-grid", "1e3,1e4,1e5", golden_12))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_grid_entries_parsed_exactly(self, capsys, golden_12):
+        code, out, _ = run(capsys, "sweep", "--n-grid", "1e23,123456789012345678901", golden_12)
         assert code == 0
         rows = out.strip().splitlines()[2:]
-        assert [r.split(",")[0] for r in rows] == ["1000", "10000", "100000"]
-
-    def test_thread_cap_rejects_garbage(self, capsys, golden_12, monkeypatch):
-        monkeypatch.setenv("AFFDIM_THREADS", "lots")
-        code, _, err = run(capsys, "sweep", "--n-grid", "1e3", golden_12)
-        assert code == 1
-        assert "AFFDIM_THREADS" in err
+        assert [r.split(",")[0] for r in rows] == ["100000000000000000000000", "123456789012345678901"]
+        for entry in ("1.5", "0", "6/2", "1e-3"):
+            code, _, err = run(capsys, "sweep", "--n-grid", entry, golden_12)
+            assert code == 1
+            assert "positive integers" in err
 
     def test_json_format(self, capsys, golden_12):
         code, out, _ = run(capsys, "sweep", "--n-grid", "1e3,1e4", "--format", "json", golden_12)
