@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -47,3 +48,24 @@ def sys_golden(p, q, a, b):
 
 def sys_full(p, q, a, b):
     return validate_system(p, q, a, b, FULL2)
+
+
+def reference_truncation(tail, start: int, tol: float):
+    """The per-term scan the series loops used to run: the first i >= start
+    with tail(i) <= tol, each comparison exact.  Returns (i, tail(i))."""
+    i = start
+    while True:
+        t = tail(i)
+        if t <= tol:
+            return i, t
+        i += 1
+
+
+def edge_tolerances(tail, indices) -> list[float]:
+    """float(tail(N)) and one float step either side of it for each N, plus
+    two tolerances near the bottom of the float range."""
+    tols = [1e-300, 5e-324]
+    for N in indices:
+        t = float(tail(N))
+        tols += [math.nextafter(t, 0), t, math.nextafter(t, math.inf)]
+    return tols

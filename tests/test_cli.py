@@ -41,6 +41,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_any(capsys, *argv):
+    """Like ``run``, but an argparse exit counts as an exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 class TestDim:
     def test_both_kinds(self, capsys, golden_12):
         code, out, _ = run(capsys, "dim", "--kind", "both", "--tol", "1e-8", golden_12)
@@ -260,6 +270,34 @@ class TestHigherOrderCommand:
         last = lines[4].split(",")
         assert last[3] == ""  # enumeration infeasible at 1e6
         assert float(last[2]) < float(lines[3].split(",")[2])
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_repeat_their_output(self, capsys, golden_12, golden_23, tmp_path):
+        pairs, triples = tmp_path / "pairs.json", tmp_path / "triples.json"
+        pairs.write_text(json.dumps({"words": ["11"]}))
+        triples.write_text(json.dumps({"words": ["110", "111"]}))
+        # without --f a forbidden word has length 2, with one --f length 3
+        plain = ["higher-order", "--forbidden", str(pairs), "--n-grid", "16,1e3", golden_12]
+        calls = [
+            ["dim", golden_23],
+            plain,
+            ["higher-order", "--f", "k^2", "--forbidden", str(triples), "--n-grid", "16,1e3", golden_12],
+            plain,
+            ["dim", "--tol", "tiny", golden_23],
+            ["dim", "--kind", "both", golden_23],
+            ["dim", "--format", "csv", golden_12],
+            ["count", "--n", "50", golden_23],
+            ["dim", "--help"],
+            ["--version"],
+        ]
+        first = [run_any(capsys, *argv) for argv in calls]
+        assert [run_any(capsys, *argv) for argv in calls] == first
+        # the --f list does not carry over into the next call
+        assert first[1][0] == first[2][0] == 0 and first[3] == first[1]
+        # a good call after an argparse error
+        assert first[4][0] == 2 and "invalid float value" in first[4][2]
+        assert first[5] == first[0] and first[0][0] == 0
 
 
 PINNED_ARGS = {

@@ -2,7 +2,7 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affdim import (
@@ -15,8 +15,28 @@ from affdim import (
     system_from_json_dict,
     validate_system,
 )
+from affdim.core import _matmul
 from conftest import FULL2, GOLDEN, random_irreducible
 import random
+
+#: irreducible with period 2 and 3
+PERIODIC = (
+    ((0, 1), (1, 0)),
+    ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+)
+
+
+@st.composite
+def irreducible_matrices(draw):
+    """Random irreducible binary matrices with m = 2..6, periodic ones included."""
+    m = draw(st.integers(2, 6))
+    random_rows = st.lists(
+        st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=m, max_size=m
+    )
+    matrix = TransitionMatrix.from_rows(draw(st.one_of(st.sampled_from(PERIODIC), random_rows)))
+    assume(matrix.is_irreducible())
+    return matrix
 
 
 class TestValidateSystem:
@@ -130,6 +150,18 @@ class TestPowerSums:
         mat = random_irreducible(3, rng)
         assert mat.power_sum(k + 1) >= mat.power_sum(k) >= mat.m
         assert mat.power_sum(k) <= mat.m ** (k + 1)
+
+    @given(irreducible_matrices(), st.integers(0, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_entry_sum_of_explicit_power(self, matrix, k):
+        power = [[int(i == j) for j in range(matrix.m)] for i in range(matrix.m)]
+        sums = [sum(map(sum, power))]
+        for _ in range(k):
+            power = _matmul(power, matrix.rows)
+            sums.append(sum(map(sum, power)))
+        # the largest power first, so the smaller ones come from the cache
+        assert matrix.power_sum(k) == sums[k]
+        assert [matrix.power_sum(j) for j in range(k + 1)] == sums
 
     def test_threaded_cache_consistency(self, golden):
         results = []

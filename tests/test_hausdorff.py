@@ -20,7 +20,16 @@ from affdim.hausdorff import (
     power_fixed_point,
 )
 from affdim.lattice import weighted_extra_census_tail
-from conftest import BATTERY, FULL2, GOLDEN, random_irreducible, sys_full, sys_golden
+from conftest import (
+    BATTERY,
+    FULL2,
+    GOLDEN,
+    edge_tolerances,
+    random_irreducible,
+    reference_truncation,
+    sys_full,
+    sys_golden,
+)
 
 # root of x^3 = x + 1; the golden-matrix ratio-2 fixed point is (r^2, r)
 PLASTIC = 1.3247179572447460
@@ -295,6 +304,21 @@ class TestDivisibleGeneral:
         tail = weighted_extra_census_tail(report.truncation_index, s)
         assert report.tail_bound == float(tail) <= 1e-9
         assert float(weighted_extra_census_tail(report.truncation_index - 1, s)) > 1e-9
+
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(("p1", "q1"), [(2, 3), (2, 5), (3, 5)])
+    def test_truncation_index_matches_reference_scan(self, p1, q1, d):
+        s = sys_golden(d * p1, d * q1, 0, 0)
+
+        def tail(i):
+            return weighted_extra_census_tail(i, s)
+
+        for tol in edge_tolerances(tail, (2, 3, 9, 40)):
+            N, t = reference_truncation(tail, 2, tol)
+            report = dimension_divisible(s, tol=tol)
+            assert (report.truncation_index, report.tail_bound) == (N, float(t)), tol
+            assert [c["i"] for c in report.contributions] == list(range(2, N + 1))
 
 
 class TestDegenerate:

@@ -14,10 +14,20 @@ from affdim.minkowski import (
     series_evaluation,
     series_tail_bound,
 )
-from conftest import BATTERY, FULL2, GOLDEN, random_irreducible, sys_full, sys_golden
+from conftest import (
+    BATTERY,
+    FULL2,
+    GOLDEN,
+    edge_tolerances,
+    random_irreducible,
+    reference_truncation,
+    sys_full,
+    sys_golden,
+)
 
 # frozen from a 40-digit evaluation of the power-sum series
 DIM_M_CLASSICAL_GOLDEN_Q2 = 0.824293605712
+
 
 
 class TestNonDivisible:
@@ -100,6 +110,34 @@ class TestSeries:
         const = 1 - (2 * q1 - 1) / (d * q1**2)
         true_tail = far.value - (const + ev.partial_sum)
         assert 0 <= true_tail <= ev.tail_bound
+
+    @pytest.mark.parametrize(
+        ("p1", "q1", "d"),
+        [(p1, q1, d) for q1 in (2, 3, 5) for p1 in (1, 2, 3) if p1 < q1 and math.gcd(p1, q1) == 1
+         for d in (1, 2)],
+    )
+    def test_truncation_index_matches_reference_scan(self, p1, q1, d):
+        s = sys_golden(d * p1, d * q1, 0, 0)
+
+        def tail(i):
+            return series_tail_bound(i, q1, d)
+
+        for tol in edge_tolerances(tail, (2, 3, 9, 40)):
+            N, t = reference_truncation(tail, 2, tol)
+            report = dimension_divisible(s, tol=tol)
+            assert (report.truncation_index, report.tail_bound) == (N, float(t)), tol
+            ev = series_evaluation(s, tol=tol)
+            assert (ev.terms_used, ev.tail_bound) == (N, float(t)), tol
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_classical_truncation_index_matches_reference_scan(self, golden, q):
+        def tail(i):
+            return series_tail_bound(i, q, 1)
+
+        for tol in edge_tolerances(tail, (1, 2, 9, 40)):
+            N, t = reference_truncation(tail, 1, tol)
+            report = dimension_classical(q, golden, tol=tol)
+            assert (report.truncation_index, report.tail_bound) == (N, float(t)), tol
 
     def test_evaluation_fields(self):
         ev = series_evaluation(sys_golden(2, 3, 0, 0), tol=1e-9)
