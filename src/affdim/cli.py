@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 validation or input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys as _sys
 from fractions import Fraction
 
@@ -99,13 +101,22 @@ def cmd_decompose(args) -> None:
 
 def cmd_count(args) -> None:
     system = load_system(args.system)
-    count = minkowski.pattern_count_exact(args.n, system)
+    log_ratio = minkowski.empirical_dimension(args.n, system)
+    # refuse before building a count that Python would not print; the spare
+    # digit covers the float error of the estimate
+    digits = log_ratio * args.n * math.log10(system.m)
+    limit = _sys.get_int_max_str_digits()
+    if limit and digits > limit + 1:
+        raise InvalidSystemError(
+            f"the count at n = {args.n} has about {digits:.4g} decimal digits, "
+            f"past the {limit}-digit limit of int-to-string conversion"
+        )
     _emit(
         {
             "command": "count",
             "config": _config(args, system_dict=system.to_json_dict()),
-            "count": count,
-            "log_m_count_over_n": minkowski.empirical_dimension(args.n, system),
+            "count": minkowski.pattern_count_exact(args.n, system),
+            "log_m_count_over_n": log_ratio,
         }
     )
 
@@ -216,7 +227,10 @@ def cmd_higher_order(args) -> None:
         print(f"{n},{measured!r},{bound!r},{gap}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing neither changes
+    it nor shares state between calls."""
     parser = argparse.ArgumentParser(
         prog="affdim",
         description="Minkowski and Hausdorff dimensions of affine multiplicative subshifts",
@@ -275,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
     except (InvalidSystemError, FileNotFoundError, ValueError) as exc:

@@ -14,7 +14,8 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from fractions import Fraction
+from typing import Callable, Sequence
 
 
 class InvalidSystemError(ValueError):
@@ -40,6 +41,46 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
+def truncation_index(
+    tail: Callable[[int], Fraction],
+    log_tail: Callable[[int], float],
+    start: int,
+    tol: float,
+) -> tuple[int, Fraction]:
+    """(N, tail(N)) for the smallest N >= start with tail(N) <= tol, where
+    ``tail`` is an exact, strictly decreasing series tail bound and
+    ``log_tail`` its natural log in floats.
+
+    N is first located by a galloping search on ``log_tail`` against ln(tol),
+    in log space because tail/tol overflows for a subnormal tol.  It is then
+    confirmed with the exact comparisons tail(N) <= tol and, unless
+    N == start, tail(N - 1) > tol, stepping N until both hold.  So N is the
+    index at which a per-term scan from ``start`` would stop, at the price of
+    about two exact tails.
+    """
+    check_tolerance(tol)
+    log_tol = math.log(tol)
+    above, N = start - 1, start   # log_tail(above) > log_tol unless above < start
+    while log_tail(N) > log_tol:
+        above, N = N, 2 * N - start + 1
+    while N - above > 1:
+        mid = (above + N) // 2
+        if log_tail(mid) > log_tol:
+            above = mid
+        else:
+            N = mid
+    value = tail(N)
+    while not value <= tol:
+        N += 1
+        value = tail(N)
+    while N > start:
+        before = tail(N - 1)
+        if before > tol:
+            break
+        N, value = N - 1, before
+    return N, value
+
+
 def _ceil_div(num: int, den: int) -> int:
     # den > 0; works for negative num (true ceiling)
     return -((-num) // den)
@@ -50,8 +91,8 @@ class TransitionMatrix:
     """Immutable binary m x m matrix with cached entry-sum powers.
 
     ``power_sum(k)`` returns the sum of all entries of the k-th matrix power
-    as an exact integer; the cache is lock-guarded so concurrent readers see
-    either a missing or a fully computed value.
+    as an exact integer; the cache is extended under a lock and only grows,
+    so concurrent readers see either a missing or a fully computed value.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -118,28 +159,29 @@ class TransitionMatrix:
         return all(all(e > 0 for e in r) for r in power)
 
     def power_sum(self, k: int) -> int:
-        """Exact sum of all entries of the k-th power (k = 0 gives m)."""
+        """Exact sum of all entries of the k-th power (k = 0 gives m).
+
+        The sum is that of the vector v_k = A v_(k-1) with v_0 all ones, so
+        each new power costs O(m^2) integer steps; the sums so far and the
+        last vector are cached.
+        """
         if k < 0:
             raise ValueError(f"power must be >= 0, got {k}")
-        cache = self._cache
-        got = cache.get(k)
-        if got is not None:
-            return got
+        sums = self._cache.get("sums")
+        if sums is not None and k < len(sums):
+            return sums[k]
         with self._lock:
-            sums = cache.get("sums")
-            if sums is None:
-                sums = [self.m]
-                power = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-                cache["sums"] = sums
-                cache["power"] = power
-            power = cache["power"]
+            cache = self._cache
+            if "sums" not in cache:
+                cache["successors"] = [[y for y, e in enumerate(row) if e] for row in self.rows]
+                cache["vector"] = [1] * self.m
+                cache["sums"] = [self.m]
+            sums, vector, successors = cache["sums"], cache["vector"], cache["successors"]
             while len(sums) <= k:
-                power = _matmul(power, self.rows)
-                sums.append(sum(map(sum, power)))
-            cache["power"] = power
-            value = sums[k]
-            cache[k] = value
-        return value
+                vector = [sum(vector[y] for y in ys) for ys in successors]
+                sums.append(sum(vector))
+            cache["vector"] = vector
+            return sums[k]
 
 
 def _matmul(a, b):

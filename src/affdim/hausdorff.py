@@ -20,6 +20,7 @@ from .core import (
     NumericalError,
     TransitionMatrix,
     check_tolerance,
+    truncation_index,
 )
 from . import minkowski
 from .lattice import chain_density, orbit_density, weighted_extra_census_tail
@@ -231,6 +232,18 @@ def chain_potential(i: int, sys: AffineSystem) -> ChainPotential:
     )
 
 
+def _log_census_tail(upto_i: int, sys: AffineSystem) -> float:
+    """ln weighted_extra_census_tail(upto_i, sys) in floats.  With r = p1/q1
+    that tail is s * ((2 - r) - (p1-1)/(q1-1) * r^upto_i) / (1 - r), where
+    s = (q1-1) / (p * q1 * p1^(upto_i-1)) is the sum of the omitted rho_i."""
+    p, p1, q1 = sys.p, sys.p1, sys.q1
+    r = p1 / q1
+    return (
+        math.log(q1 - 1) - math.log(p * q1) - (upto_i - 1) * math.log(p1) - math.log(1 - r)
+        + math.log(2 - r - (p1 - 1) / (q1 - 1) * r**upto_i)
+    )
+
+
 def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
     """Series of weighted chain-potential logs for the divisible-general case.
 
@@ -256,19 +269,22 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     ``chain_potential(i).value`` and ``float(chain_potential(i).weight())``
     exactly.
 
-    Truncated once the exact tail bound sum_{i>N} sum_j (j+1) * density
-    drops below the tolerance (each omitted term is at most that row sum).
+    Truncated at the first N whose exact tail bound
+    sum_{i>N} sum_j (j+1) * density is <= tol (each omitted term is at most
+    that row sum); ``core.truncation_index`` finds N before the sum starts.
     """
     if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
         raise InvalidSystemError(
             f"divisible-general series called on {sys.case_tag.value} system; "
             "degenerate systems use the sublattice reduction"
         )
-    check_tolerance(tol)
+    N, tail = truncation_index(
+        lambda i: weighted_extra_census_tail(i, sys), lambda i: _log_census_tail(i, sys), 2, tol
+    )
     log2_m = math.log2(sys.m)
     total = float(chain_density(1, 1, sys))
     contributions = []
-    for i, powered in enumerate(_levels(sys.matrix, float(Fraction(sys.p1, sys.q1))), 2):
+    for i, powered in zip(range(2, N + 1), _levels(sys.matrix, float(Fraction(sys.p1, sys.q1)))):
         t_phi = sum(powered)
         weight = float(orbit_density(i, sys))
         term = weight * (math.log2(t_phi) / log2_m)
@@ -276,14 +292,11 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         contributions.append(
             {"i": i, "weight": weight, "t_phi": t_phi, "contribution": term}
         )
-        tail = weighted_extra_census_tail(i, sys)
-        if tail <= tol:
-            break
     return DimensionReport(
         value=total,
         kind="hausdorff",
         case_tag=sys.case_tag,
-        truncation_index=i,
+        truncation_index=N,
         tail_bound=float(tail),
         tolerance=tol,
         contributions=tuple(contributions),

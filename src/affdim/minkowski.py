@@ -23,6 +23,7 @@ from .core import (
     InvalidSystemError,
     TransitionMatrix,
     check_tolerance,
+    truncation_index,
 )
 from .lattice import Census, window_counts
 
@@ -52,22 +53,26 @@ def series_tail_bound(upto_i: int, q1: int, d: int) -> Fraction:
     return Fraction(1, d) * Fraction(1, q1**N) * ((N + 2) - Fraction(N + 1, q1))
 
 
+def _log_series_tail(upto_i: int, q1: int, d: int) -> float:
+    """ln series_tail_bound(upto_i, q1, d) in floats: that bound is
+    ((q1-1)*upto_i + 2*q1 - 1) / (d * q1^(upto_i+1))."""
+    return math.log((q1 - 1) * upto_i + 2 * q1 - 1) - math.log(d) - (upto_i + 1) * math.log(q1)
+
+
 def _series_value(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int):
-    """Sum ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1} until
-    the tail bound is <= tol.  Returns (value_mpf, N, tail_bound)."""
-    check_tolerance(tol)
+    """Sum ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1} up to
+    the first i whose tail bound is <= tol.  Returns (value_mpf, N, tail_bound)."""
+    N, tail = truncation_index(
+        lambda i: series_tail_bound(i, q1, d), lambda i: _log_series_tail(i, q1, d), first_i, tol
+    )
     m = matrix.m
     with mp.workdps(_DPS):
         log_m = mp.log(m)
         coeff = mp.mpf((q1 - 1) ** 2) / d
         total = mp.mpf(0)
-        i = first_i
-        while True:
+        for i in range(first_i, N + 1):
             total += mp.log(matrix.power_sum(i - 1)) / log_m / mp.mpf(q1) ** (i + 1)
-            tail = series_tail_bound(i, q1, d)
-            if tail <= tol:
-                return coeff * total, i, tail
-            i += 1
+        return coeff * total, N, tail
 
 
 def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
@@ -161,8 +166,14 @@ def empirical_dimension(n: int, sys: AffineSystem, census: Census | None = None)
     """log_m of the exact window pattern count divided by n, accumulated in
     log space so that large windows avoid astronomically large integers.
     Terms are summed by increasing j, so the value does not depend on which
-    route produced the census."""
+    route produced the census.  The count is at most m^n, so a finite
+    n * log2(m) keeps the sum finite as well."""
+    try:
+        scale = n * math.log2(sys.m)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise InvalidSystemError("window past the float range: n * log2(m) is not finite")
     D = window_counts(n, sys) if census is None else census.D
-    log2_m = math.log2(sys.m)
     total = sum(cnt * math.log2(sys.matrix.power_sum(j - 1)) for j, cnt in sorted(D.items()))
-    return total / (n * log2_m)
+    return total / scale

@@ -8,6 +8,11 @@ from affdim import TransitionMatrix, validate_system
 GOLDEN = ((1, 1), (1, 0))
 FULL2 = ((1, 1), (1, 1))
 FULL3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
+SWAP = ((0, 1), (1, 0))
+#: irreducible with period 2 and every row sum 2
+BIPARTITE4 = ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))
+#: irreducible matrices with period 2 or 3
+PERIODIC = (SWAP, BIPARTITE4, ((0, 1, 1), (1, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
 
 #: exercises every case tag: classical, general, non-divisible, degenerate
 BATTERY = [(1, 2, 0, 0), (2, 3, 0, 0), (2, 4, 0, 1), (2, 4, 0, 0), (3, 5, 1, 2), (4, 6, 1, 3)]

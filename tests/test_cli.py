@@ -1,9 +1,14 @@
 import hashlib
 import json
+import math
+import sys
+import time
 
 import pytest
 
+from affdim import load_system
 from affdim.cli import main
+from affdim.minkowski import pattern_count_exact
 
 GOLDEN = ((1, 1), (1, 0))
 
@@ -146,6 +151,31 @@ class TestDecomposeAndCount:
         lines = [json.loads(l) for l in out.strip().splitlines()[:-1]]
         assert any(c["full_length"] == "truncated" for c in lines)
 
+    @pytest.mark.parametrize("n", ["100000000000", "1" + "0" * 30])
+    def test_count_past_the_digit_limit_exits_one(self, capsys, golden_23, n):
+        # the count would not print; it is refused before it is built
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--n", n, golden_23)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "digit" in err and "Traceback" not in err
+
+    def test_count_at_the_digit_limit_prints(self, capsys, golden_23):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no int-to-string digit limit in this interpreter")
+        system = load_system(golden_23)
+        lo, hi = 1, 64 * limit  # count(lo) < 10**limit <= count(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if pattern_count_exact(mid, system) < 10**limit:
+                lo = mid
+            else:
+                hi = mid
+        code, out, _ = run(capsys, "count", "--n", str(lo), golden_23)
+        assert code == 0
+        assert len(str(json.loads(out)["count"])) == limit
+
 
 class TestVerify:
     def test_all_equal(self, capsys, golden_23):
@@ -229,6 +259,14 @@ class TestSweep:
             code, _, err = run(capsys, "sweep", "--n-grid", entry, golden_12)
             assert code == 1
             assert "positive integers" in err
+
+    def test_window_past_the_float_range_exits_one(self, capsys, golden_23):
+        code, out, err = run(capsys, "sweep", "--n-grid", "1e300,1e400", golden_23)
+        assert code == 1 and out == ""
+        assert "float range" in err
+        code, out, _ = run(capsys, "sweep", "--n-grid", "1e300", golden_23)
+        assert code == 0
+        assert math.isfinite(float(out.strip().splitlines()[-1].split(",")[1]))
 
     def test_json_format(self, capsys, golden_12):
         code, out, _ = run(capsys, "sweep", "--n-grid", "1e3,1e4", "--format", "json", golden_12)

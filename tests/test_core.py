@@ -1,5 +1,8 @@
 import json
+import math
+import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,16 +18,9 @@ from affdim import (
     system_from_json_dict,
     validate_system,
 )
-from affdim.core import _matmul
-from conftest import FULL2, GOLDEN, random_irreducible
+from affdim.core import _matmul, truncation_index
+from conftest import FULL2, GOLDEN, PERIODIC, random_irreducible
 import random
-
-#: irreducible with period 2 and 3
-PERIODIC = (
-    ((0, 1), (1, 0)),
-    ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)),
-    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-)
 
 
 @st.composite
@@ -175,6 +171,57 @@ class TestPowerSums:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
+
+    def test_threads_filling_one_cache_agree(self):
+        # more threads than cores, released together and switching often,
+        # each extending a fresh cache a few powers at a time, for 8 rounds
+        rows = ((0, 1, 1, 0), (1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 1))
+        top = 400
+        expected = [TransitionMatrix.from_rows(rows).power_sum(k) for k in range(top)]
+        matrices = [TransitionMatrix.from_rows(rows) for _ in range(8)]
+        orders = [range(0, top, step) for step in (1, 2, 3)] * 4
+        barrier = threading.Barrier(len(orders))
+        results = []
+
+        def worker(order):
+            for matrix in matrices:
+                barrier.wait(timeout=30)
+                results.append([(k, matrix.power_sum(k)) for k in order])
+
+        threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == len(threads) * len(matrices)
+        assert all(value == expected[k] for result in results for k, value in result)
+
+
+class TestTruncationIndex:
+    @staticmethod
+    def tail(i):
+        return Fraction(3, 2**i)
+
+    @pytest.mark.parametrize("error", [-5.0, -0.3, 0.0, 0.3, 5.0])
+    @pytest.mark.parametrize("tol", [1.0, 0.75, 0.7, 3 / 2**30, 1e-300, 5e-324])
+    def test_exact_answer_from_an_inexact_estimate(self, tol, error):
+        # the float estimate is off by a constant; the exact steps correct it
+        def log_tail(i):
+            return math.log(3) - i * math.log(2) + error
+
+        N, value = truncation_index(self.tail, log_tail, 1, tol)
+        expected = next(i for i in range(1, 2000) if self.tail(i) <= tol)
+        assert (N, value) == (expected, self.tail(expected))
+
+    def test_rejects_bad_tolerance(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            truncation_index(self.tail, lambda i: 0.0, 1, 0.0)
 
 
 class TestJson:

@@ -22,8 +22,11 @@ from affdim.hausdorff import (
 from affdim.lattice import weighted_extra_census_tail
 from conftest import (
     BATTERY,
+    BIPARTITE4,
     FULL2,
     GOLDEN,
+    PERIODIC,
+    SWAP,
     edge_tolerances,
     random_irreducible,
     reference_truncation,
@@ -33,11 +36,6 @@ from conftest import (
 
 # root of x^3 = x + 1; the golden-matrix ratio-2 fixed point is (r^2, r)
 PLASTIC = 1.3247179572447460
-
-SWAP = ((0, 1), (1, 0))
-#: irreducible with period 2 and every row sum 2
-BIPARTITE4 = ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))
-PERIODIC = (SWAP, BIPARTITE4, ((0, 1, 1), (1, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
 
 
 @st.composite
@@ -304,7 +302,6 @@ class TestDivisibleGeneral:
         tail = weighted_extra_census_tail(report.truncation_index, s)
         assert report.tail_bound == float(tail) <= 1e-9
         assert float(weighted_extra_census_tail(report.truncation_index - 1, s)) > 1e-9
-
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize(("p1", "q1"), [(2, 3), (2, 5), (3, 5)])

@@ -29,7 +29,6 @@ from conftest import (
 DIM_M_CLASSICAL_GOLDEN_Q2 = 0.824293605712
 
 
-
 class TestNonDivisible:
     def test_golden_value(self):
         report = dimension_nondivisible(sys_golden(2, 4, 0, 1))
@@ -159,6 +158,13 @@ class TestPatternCount:
     def test_empirical_from_count(self):
         s = sys_golden(2, 4, 0, 1)
         assert empirical_dimension(5, s) == pytest.approx(math.log2(24) / 5, abs=1e-12)
+
+    def test_empirical_refuses_windows_past_the_float_range(self):
+        s = sys_golden(2, 3, 0, 0)
+        assert math.isfinite(empirical_dimension(10**300, s))
+        for n in (10**400, 2**1024):
+            with pytest.raises(InvalidSystemError, match="float range"):
+                empirical_dimension(n, s)
 
     def test_full_matrix_empirical_is_one(self):
         for pqab in BATTERY:
