@@ -17,10 +17,28 @@ from affdim.measures import (
     stationary_chain_measure,
 )
 from affdim.oracle import admissible_words, window_pairs
-from conftest import GOLDEN, random_irreducible, sys_full, sys_golden
+from conftest import BATTERY, GOLDEN, random_irreducible, sys_full, sys_golden
 
 
 PERIODIC3 = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+#: primitive, with row sums 3, 1, 2, so no chain law is uniform
+MIXED3 = ((1, 1, 1), (1, 0, 0), (0, 1, 1))
+#: primitive; every transition row of the pair law has zero-mass letters
+SPARSE5 = (
+    (1, 1, 0, 0, 0),
+    (0, 0, 1, 1, 0),
+    (0, 0, 0, 1, 1),
+    (1, 0, 0, 0, 1),
+    (1, 1, 1, 0, 0),
+)
+#: (matrix, p, q, a, b) over every case tag and matrix shape the sampler sees
+SAMPLED_SYSTEMS = [(GOLDEN, *pqab) for pqab in BATTERY] + [
+    (PERIODIC3, 1, 2, 0, 0),
+    (PERIODIC3, 2, 4, 0, 0),
+    (MIXED3, 4, 6, 1, 3),
+    (MIXED3, 2, 5, 1, 0),
+    (SPARSE5, 2, 4, 0, 1),
+]
 
 
 def marginal_entropy(measure, matrix, j: int) -> float:
@@ -182,12 +200,29 @@ class TestSampling:
             ((4, 6, 1, 3), "a30d6f6e2da33b326815135f328284101dbc0b8c74ae3379eb98ab1b423605fa"),
             ((1, 2, 0, 0), "cab689db97059eeff4eb042ac09e07ff95b754d5c2464ece1b2fda9e3432aa46"),
             ((2, 4, 0, 1), "f36e467bf24e0c199b5a697966e6cc457293dca2e92b248c4ae8ab971ae08d44"),
+            ((2, 4, 0, 0), "dcfd7496c1cf4f0d9c853de1a85d1395fb423aa280d94b494eef604f3ec5c62d"),
         ],
     )
     def test_sample_prefix_pinned(self, pqab, digest):
         # sha256 of the letters as the `sample` command prints them, recorded
         # from the sampler built on the per-chain `decompose` walk
         letters = sample_prefix(sys_golden(*pqab), 5000, seed=11)
+        text = "".join(str(int(v)) for v in letters)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "rows, pqab, digest",
+        [
+            (PERIODIC3, (1, 2, 0, 0), "ef9a39916dc6356ae3fe74b74ebfe239ba64b80bde323b895d204306cd11b475"),
+            (MIXED3, (4, 6, 1, 3), "1ba38e086af88a1a7976ae5935a67e1d2810ccf1bca016cd4954dcce12a07b6a"),
+            (MIXED3, (2, 5, 1, 0), "224edb00cb37067ba55cc10af84f11665846439855ba08d9871e835d86e3a472"),
+            (SPARSE5, (2, 4, 0, 1), "e3d37ebc0a063c7761ff3b3a08a5600ce41acde45eebff64870756e68dc9afc5"),
+        ],
+    )
+    def test_sample_prefix_pinned_beyond_golden(self, rows, pqab, digest):
+        # recorded like the golden pins, from the sampler that regrouped the
+        # chains into families and walked the successor map per family
+        letters = sample_prefix(validate_system(*pqab, rows), 5000, seed=11)
         text = "".join(str(int(v)) for v in letters)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -236,6 +271,18 @@ class TestLocalDimension:
         target = dim_h(s, tol=1e-10).value
         mean, _ = empirical_local_dimension(s, 20_000, seed=13, samples=12)
         assert abs(mean - target) <= 0.02
+
+    @pytest.mark.parametrize(
+        "rows, pqab, pinned",
+        [
+            (PERIODIC3, (1, 2, 0, 0), "(0.6433181723557018, 0.000893652186714684)"),
+            (MIXED3, (4, 6, 1, 3), "(0.9344596788660591, 0.0006418852611092424)"),
+        ],
+    )
+    def test_pinned(self, rows, pqab, pinned):
+        # recorded from the sampler that regrouped the chains into families
+        s = validate_system(*pqab, rows)
+        assert repr(empirical_local_dimension(s, 5000, seed=3, samples=4)) == pinned
 
     def test_seeded_reproducibility(self):
         s = sys_golden(1, 2, 0, 0)
