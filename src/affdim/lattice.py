@@ -189,21 +189,13 @@ def _check_int64(n: int, sys: AffineSystem) -> None:
         )
 
 
-def chain_walk(n: int, sys: AffineSystem) -> ChainWalk:
-    """The chains of ``decompose`` without materializing them.
+def chain_levels(n: int, sys: AffineSystem):
+    """Yield the chains meeting {1, ..., n} level by level, as (positions, more).
 
-    Window walks are vectorized over all chain starts, one level at a time.
-    Full orbit lengths need no walk past the window.  A start s has a
-    successor iff s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.
-    The image q*k + b of index k is a + d*(q1*k + c) in the divisible case,
-    which is again p*k' + a iff p1 divides q1*k + c, that is iff p1 divides
-    w(k) = (q1 - p1)*k + c; then k' = k + w(k)/p1 and w(k') = (q1/p1)*w(k).
-    The first pair increases, so w > 0 and k' > k >= k_min: every such step
-    is taken.  Since q1 is prime to p1, each step removes exactly one factor
-    p1 from w.  So with p1 >= 2 the orbit has 2 + v(w(k0)) members, v
-    counting how often p1 divides; with p1 = 1 every step is taken and the
-    orbit is infinite.  In the non-divisible case d never divides the image
-    minus a, so the orbit is the pair {s, q*k0 + b}.
+    Level 0 holds the chain starts in increasing order, level j the (j+1)-th
+    window members in the order of their starts; ``more`` masks the chains
+    whose next member is in the window.  This is the one vectorized walk of
+    the successor map, and it touches only the chains that advance.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
@@ -216,28 +208,40 @@ def chain_walk(n: int, sys: AffineSystem) -> ChainWalk:
     k = off // q
     has_pre = (off % q == 0) & (k >= k_min)
     # predecessor p*k+a of an in-window position is smaller, hence in-window
-    starts = pos[~has_pre]
+    cur = pos[~has_pre]
     del pos, off, k, has_pre
 
-    # only the chains that advance are touched, and they thin out fast
-    window = np.ones(len(starts), dtype=np.int64)
-    cur = starts
-    ids = np.arange(len(starts))
-    level = 1
     while len(cur):
         offs = cur - a
         kk = offs // p
         nxt = q * kk + b
-        adv = (offs % p == 0) & (kk >= k_min) & (nxt <= n)
-        cur, ids = nxt[adv], ids[adv]
-        level += 1
-        window[ids] = level
+        more = (offs % p == 0) & (kk >= k_min) & (nxt <= n)
+        nxt = nxt[more]
+        del offs, kk
+        yield cur, more
+        cur = nxt
 
-    offs = starts - a
-    k0 = offs // p
-    has_next = (offs % p == 0) & (k0 >= k_min)
+
+def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
+    """Full orbit length of the chain at each start, 0 for an infinite orbit.
+
+    No walk past the window is needed.  A start s has a successor iff
+    s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.  The image
+    q*k + b of index k is a + d*(q1*k + c) in the divisible case, which is
+    again p*k' + a iff p1 divides q1*k + c, that is iff p1 divides
+    w(k) = (q1 - p1)*k + c; then k' = k + w(k)/p1 and w(k') = (q1/p1)*w(k).
+    The first pair increases, so w > 0 and k' > k >= k_min: every such step
+    is taken.  Since q1 is prime to p1, each step removes exactly one factor
+    p1 from w.  So with p1 >= 2 the orbit has 2 + v(w(k0)) members, v
+    counting how often p1 divides; with p1 = 1 every step is taken and the
+    orbit is infinite.  In the non-divisible case d never divides the image
+    minus a, so the orbit is the pair {s, q*k0 + b}.
+    """
+    offs = starts - sys.a
+    k0 = offs // sys.p
+    has_next = (offs % sys.p == 0) & (k0 >= sys.k_min)
     if _infinite_orbits(sys):
-        return ChainWalk(starts, window, window.copy(), has_next)
+        return np.where(has_next, 0, 1)
     full = has_next.astype(np.int64) + 1
     if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
         ids = np.nonzero(has_next)[0]
@@ -246,7 +250,22 @@ def chain_walk(n: int, sys: AffineSystem) -> ChainWalk:
             divides = w % sys.p1 == 0
             ids, w = ids[divides], w[divides] // sys.p1
             full[ids] += 1
-    return ChainWalk(starts, window, full, np.zeros(len(starts), dtype=bool))
+    return full
+
+
+def chain_walk(n: int, sys: AffineSystem) -> ChainWalk:
+    """The chains of ``decompose`` without materializing them: window counts
+    over ``chain_levels``, full lengths from ``orbit_lengths``."""
+    levels = chain_levels(n, sys)
+    starts, more = next(levels)
+    window = np.ones(len(starts), dtype=np.int64)
+    ids = np.nonzero(more)[0]
+    for _, more in levels:
+        window[ids] += 1
+        ids = ids[more]
+    full = orbit_lengths(starts, sys)
+    truncated = full == 0
+    return ChainWalk(starts, window, np.where(truncated, window, full), truncated)
 
 
 def empirical_census(n: int, sys: AffineSystem) -> Census:

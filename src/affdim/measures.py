@@ -6,8 +6,9 @@ uniform, non-divisible pairs weight first letters by row sums to the power
 p/q, finite chains in the divisible-general case use the chain-potential
 dynamic program, and infinite chains (p1 = 1) use the fixed-point Markov
 measure.  The window prefix measure is the product of the per-chain measures
-of the restricted words, so sampled prefixes are admissible by construction
-and their log-probabilities accumulate chain by chain.
+of the restricted words, so sampled prefixes are admissible by construction.
+Drawing and scoring share one pass over lattice's level walk, reading one
+table of laws indexed by (family, level, previous letter).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import AffineSystem, CaseTag, InvalidSystemError
 from .hausdorff import chain_potential, power_fixed_point
-from .lattice import chain_walk
+from .lattice import chain_levels, orbit_lengths
 
 
 @dataclass(frozen=True)
@@ -124,28 +125,43 @@ class PrefixMeasure:
     """Product measure over the chains meeting a window of size n.
 
     Supports seeded sampling of admissible prefixes and evaluation of
-    -log_m probability for arbitrary words.
+    -log_m probability for arbitrary words.  Both run one pass over the
+    levels of ``chain_levels``: a chain's letter at level j follows the row
+    of its family's law at level j given its letter at level j - 1, so one
+    table of rows indexed by (family, level, previous letter) serves every
+    chain at once.
     """
 
     def __init__(self, sys: AffineSystem, n: int):
         self.sys = sys
         self.n = n
-        p, q, a, b = sys.p, sys.q, sys.a, sys.b
-        walk = chain_walk(n, sys)
-        # one family per full length; infinite orbits (key 0) carry "inf"
-        keys = np.where(walk.truncated, 0, walk.full_length)
-        # within a family, longest window first so each level is a prefix
-        order = np.lexsort((walk.starts, -walk.window, keys))
-        values, counts = np.unique(keys, return_counts=True)
-        self._groups = []
-        for key, members in zip(values.tolist(), np.split(order, np.cumsum(counts)[:-1])):
-            window = walk.window[members]
-            pos = walk.starts[members]
-            steps = [pos]
-            for j in range(1, int(window[0])):
-                pos = q * ((pos[: np.count_nonzero(window > j)] - a) // p) + b
-                steps.append(pos)
-            self._groups.append(_GroupSampler(self._measure_for(key or "inf"), steps))
+        m = sys.m
+        levels = chain_levels(n, sys)
+        starts, more = next(levels)
+        # one family per full length; infinite orbits (length 0) carry "inf"
+        lengths = orbit_lengths(starts, sys)
+        keys = np.flatnonzero(np.bincount(lengths))
+        # 0-based positions of each level and the chains that go on from it
+        self._levels = [(starts - 1, more)] + [(pos - 1, more) for pos, more in levels]
+        depth = len(self._levels)
+        # laws[f, j, x] is the law of the letter at level j after letter x;
+        # level 0 repeats the first-letter law, as it has no previous letter
+        laws = np.zeros((len(keys), depth, m, m))
+        for f, key in enumerate(keys.tolist()):
+            measure = self._measure_for(key or "inf")
+            laws[f, 0] = measure.first
+            for level in range(1, min(depth, measure.length or depth)):
+                laws[f, level] = measure.transition(level)
+        laws = laws.reshape(-1, m)
+        cdf = np.cumsum(laws, axis=1)
+        cdf[:, -1] = 1.0 + 1e-12  # zero-mass letters stay unreachable
+        # a variate u < 1 never reaches the last entry, so it is not compared
+        self._cdf_columns = cdf.T[:-1].copy()
+        self._log2 = np.where(laws > 0, np.log2(np.maximum(laws, 1e-300)), -np.inf).ravel()
+        # row of each chain's level-0 law; the table is far smaller than 2**31
+        first_row = np.zeros(keys[-1] + 1, dtype=np.int32)
+        first_row[keys] = np.arange(len(keys)) * (depth * m)
+        self._base = first_row[lengths]
 
     def _measure_for(self, key) -> ChainMeasure:
         sys = self.sys
@@ -161,19 +177,38 @@ class PrefixMeasure:
             f"no measure family for finite chain length {key} in case {sys.case_tag.value}"
         )
 
+    def _walk(self, pick) -> np.ndarray:
+        """Per-position log2 probabilities of the letters that ``pick(rows, idx)``
+        chooses at the 0-based positions idx of each level, given their laws' rows."""
+        m = self.sys.m
+        log2p = np.empty(self.n)
+        base = rows = self._base
+        for idx, more in self._levels:
+            lets = pick(rows, idx)
+            log2p[idx] = self._log2[rows * m + lets]
+            base = base[more] + m
+            rows = base + lets[more]
+        return log2p
+
     def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Draw one admissible prefix; returns (letters, -log2 probability).
 
         One uniform variate is drawn per position, so the output depends
-        only on the generator state, not on chain processing order.
+        only on the generator state, not on chain processing order.  The
+        letter is the number of CDF entries <= u.
         """
-        n = self.n
-        u = rng.random(n)
-        letters = np.empty(n, dtype=np.int64)
-        log2p = np.zeros(n)
-        for group in self._groups:
-            group.draw(u, letters, log2p)
-        return letters, -float(log2p.sum())
+        u = rng.random(self.n)
+        letters = np.empty(self.n, dtype=np.int64)
+
+        def draw(rows, idx):
+            take = u[idx]
+            lets = np.zeros(len(idx), dtype=np.min_scalar_type(self.sys.m - 1))
+            for column in self._cdf_columns:
+                lets += column[rows] <= take
+            letters[idx] = lets
+            return lets
+
+        return letters, -float(self._walk(draw).sum())
 
     def neg_log_prob(self, word) -> float:
         """-log_m of the prefix probability of ``word`` (inf if excluded)."""
@@ -183,74 +218,12 @@ class PrefixMeasure:
         m = self.sys.m
         if word.min() < 0 or word.max() >= m:
             raise ValueError(f"letters must lie in [0, {m}), got {word.min()}..{word.max()}")
-        total = sum(group.log2_prob(word) for group in self._groups)
-        return -total / math.log2(m)
-
-
-class _GroupSampler:
-    def __init__(self, measure: ChainMeasure, steps: list[np.ndarray]):
-        self.measure = measure
-        self.steps = steps
-        m = measure.m
-        self._first_cdf = self._cdf(measure.first)
-        self._first_log = self._log2(measure.first)
-        levels = len(steps) - 1
-        self._trans_cdf = []
-        self._trans_log = []
-        for level in range(1, levels + 1):
-            rows = measure.transition(level)
-            self._trans_cdf.append(np.stack([self._cdf(r) for r in rows]))
-            self._trans_log.append(np.stack([self._log2(r) for r in rows]))
-
-    @staticmethod
-    def _cdf(pmf) -> np.ndarray:
-        cdf = np.cumsum(np.asarray(pmf, dtype=float))
-        cdf[-1] = 1.0 + 1e-12  # zero-mass letters stay unreachable
-        return cdf
-
-    @staticmethod
-    def _log2(pmf) -> np.ndarray:
-        arr = np.asarray(pmf, dtype=float)
-        return np.where(arr > 0, np.log2(np.maximum(arr, 1e-300)), -np.inf)
-
-    def draw(self, u: np.ndarray, letters: np.ndarray, log2p: np.ndarray) -> None:
-        pos = self.steps[0]
-        take = u[pos - 1]
-        lets = np.searchsorted(self._first_cdf, take, side="right")
-        letters[pos - 1] = lets
-        log2p[pos - 1] = self._first_log[lets]
-        prev = lets
-        for j in range(1, len(self.steps)):
-            pos = self.steps[j]
-            prev = prev[: len(pos)]
-            take = u[pos - 1]
-            cdf = self._trans_cdf[j - 1]
-            lets = np.empty(len(pos), dtype=np.int64)
-            for v in range(self.measure.m):
-                mask = prev == v
-                if mask.any():
-                    lets[mask] = np.searchsorted(cdf[v], take[mask], side="right")
-            letters[pos - 1] = lets
-            log2p[pos - 1] = self._trans_log[j - 1][prev, lets]
-            prev = lets
-
-    def log2_prob(self, word: np.ndarray) -> float:
-        """log2 probability of this group's chain words read off ``word``,
-        gathered level by level from the tables ``draw`` uses."""
-        prev = word[self.steps[0] - 1]
-        total = float(self._first_log[prev].sum())
-        for j in range(1, len(self.steps)):
-            lets = word[self.steps[j] - 1]
-            total += float(self._trans_log[j - 1][prev[: len(lets)], lets].sum())
-            prev = lets
-        return total
+        return -float(self._walk(lambda rows, idx: word[idx]).sum()) / math.log2(m)
 
 
 def sample_prefix(sys: AffineSystem, n: int, seed: int) -> np.ndarray:
     """Deterministic admissible prefix of length n for the given seed."""
-    pm = PrefixMeasure(sys, n)
-    letters, _ = pm.sample(np.random.default_rng(seed))
-    return letters
+    return PrefixMeasure(sys, n).sample(np.random.default_rng(seed))[0]
 
 
 def empirical_local_dimension(

@@ -2,6 +2,7 @@ import re
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,11 @@ from affdim import (
 )
 from affdim.lattice import (
     chain_density_column_tail,
+    chain_levels,
     chain_walk,
     density_table,
     orbit_density,
+    orbit_lengths,
     weighted_census_tail,
     window_counts,
 )
@@ -152,15 +155,19 @@ class TestChainWalk:
         # where every start with a successor never stops
         infinite = s.p1 == 1 and s.divisible
         assert walk.truncated.tolist() == [infinite and successor(c.start, s) is not None for c in chains]
-        # the sampler's per-level position arrays, read back chain by chain
-        sampled = {}
-        for group in PrefixMeasure(s, n)._groups:
-            key = "inf" if group.measure.stationary else group.measure.length
-            levels = [level.tolist() for level in group.steps]
-            for idx in range(len(levels[0])):
-                positions = tuple(level[idx] for level in levels if idx < len(level))
-                sampled[positions] = key
-        assert sampled == {c.positions: "inf" if c.truncated else c.full_length for c in chains}
+        # the level walk the sampler draws from, read back chain by chain,
+        # and the family each chain's measure comes from
+        levels = chain_levels(n, s)
+        starts, more = next(levels)
+        walked = [[x] for x in starts.tolist()]
+        ids = np.nonzero(more)[0]
+        for positions, more in levels:
+            for chain, x in zip(ids.tolist(), positions.tolist()):
+                walked[chain].append(x)
+            ids = ids[more]
+        assert [tuple(w) for w in walked] == [c.positions for c in chains]
+        families = [length or "inf" for length in orbit_lengths(starts, s).tolist()]
+        assert families == ["inf" if c.truncated else c.full_length for c in chains]
 
     @pytest.mark.parametrize(
         "pqab",

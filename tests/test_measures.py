@@ -226,6 +226,18 @@ class TestSampling:
         text = "".join(str(int(v)) for v in letters)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("system", SAMPLED_SYSTEMS)
+    @pytest.mark.parametrize("n", [10, 1000, 50_000])
+    def test_score_of_a_sample_is_its_draw_probability(self, system, n):
+        # scoring reads the same per-position log2 table the draw filled,
+        # and sums it in the same order, so the two agree exactly
+        rows, *pqab = system
+        s = validate_system(*pqab, rows)
+        pm = PrefixMeasure(s, n)
+        for seed in range(4):
+            letters, neg_log2 = pm.sample(np.random.default_rng(seed))
+            assert pm.neg_log_prob(letters) == neg_log2 / math.log2(s.m)
+
 
 class TestLocalDimension:
     def test_full_matrix_exactly_one(self):
