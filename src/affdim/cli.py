@@ -210,7 +210,7 @@ def cmd_higher_order(args) -> None:
     system = load_system(args.system)
     with open(args.forbidden, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "words" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("words"), list):
         raise InvalidSystemError('forbidden-word file must be {"words": [...]} ')
     words = frozenset(tuple(int(ch) for ch in str(w)) for w in data["words"])
     maps = tuple(higher_order.parse_growth(text) for text in args.f or [])

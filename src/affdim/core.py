@@ -103,12 +103,15 @@ class TransitionMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "TransitionMatrix":
-        m = len(rows)
+        try:
+            m, sizes = len(rows), [len(r) for r in rows]
+        except TypeError:
+            raise InvalidSystemError("transition matrix must be a list of rows") from None
         if m < 2:
             raise InvalidSystemError(f"alphabet size must be >= 2, got {m}")
         tup = []
-        for r in rows:
-            if len(r) != m:
+        for r, size in zip(rows, sizes):
+            if size != m:
                 raise InvalidSystemError("transition matrix must be square")
             for e in r:
                 if e not in (0, 1):
@@ -284,6 +287,8 @@ def system_from_json_dict(data: dict) -> AffineSystem:
     Schema: {"m": int, "matrix": [[0/1, ...], ...], "p", "q", "a", "b"}.
     Unknown keys are rejected.
     """
+    if not isinstance(data, dict):
+        raise InvalidSystemError(f"a system must be a JSON object, got {json.dumps(data)[:40]}")
     required = {"m", "matrix", "p", "q", "a", "b"}
     keys = set(data)
     if keys != required:
@@ -307,11 +312,13 @@ def system_from_json_dict(data: dict) -> AffineSystem:
 
 
 def load_system(path: str) -> AffineSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSystemError(f"malformed JSON in {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidSystemError(f"malformed JSON in {path}: {exc}") from exc
+    except IsADirectoryError as exc:
+        raise InvalidSystemError(f"system path {path} is a directory") from exc
     return system_from_json_dict(data)
 
 

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import affdim
 from affdim import load_system
 from affdim.cli import main
 from affdim.minkowski import pattern_count_exact
@@ -121,6 +125,42 @@ class TestDim:
         code, _, err = run(capsys, "dim", str(bad))
         assert code == 1
         assert "unknown" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        ("system", "forbidden"),
+        [
+            ("[[1]]", None),
+            ("null", None),
+            ("5", None),
+            ('{"m": 2, "matrix": [1, 1], "p": 1, "q": 2, "a": 0, "b": 0}', None),
+            ("directory", None),
+            ('{"m": 2, "matrix": [[1, 1], [1, 0]], "p": 1, "q": 2, "a": 0, "b": 0}', '{"words": 5}'),
+        ],
+        ids=["list", "null", "number", "flat-matrix", "directory", "words-number"],
+    )
+    def test_exits_one_without_traceback(self, tmp_path, system, forbidden):
+        if system == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "system.json"
+            path.write_text(system)
+        if forbidden is None:
+            argv = ["dim", str(path)]
+        else:
+            words = tmp_path / "words.json"
+            words.write_text(forbidden)
+            argv = ["higher-order", "--forbidden", str(words), "--n-grid", "16", str(path)]
+        # a child process, so that an escaping exception shows as a traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(affdim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "affdim.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestDecomposeAndCount:
