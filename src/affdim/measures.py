@@ -125,11 +125,9 @@ class PrefixMeasure:
     """Product measure over the chains meeting a window of size n.
 
     Supports seeded sampling of admissible prefixes and evaluation of
-    -log_m probability for arbitrary words.  Both run one pass over the
-    levels of ``chain_levels``: a chain's letter at level j follows the row
-    of its family's law at level j given its letter at level j - 1, so one
-    table of rows indexed by (family, level, previous letter) serves every
-    chain at once.
+    -log_m probability for arbitrary words, in one shared pass over the
+    levels of ``chain_levels``: a chain's letter at level j follows its
+    family's law at level j given its letter at level j - 1.
     """
 
     def __init__(self, sys: AffineSystem, n: int):
@@ -158,7 +156,8 @@ class PrefixMeasure:
         # a variate u < 1 never reaches the last entry, so it is not compared
         self._cdf_columns = cdf.T[:-1].copy()
         self._log2 = np.where(laws > 0, np.log2(np.maximum(laws, 1e-300)), -np.inf).ravel()
-        # row of each chain's level-0 law; the table is far smaller than 2**31
+        # flat row (f*depth + j)*m + x holds laws[f, j, x]; _base is each
+        # chain's level-0 row, and the table is far smaller than 2**31
         first_row = np.zeros(keys[-1] + 1, dtype=np.int32)
         first_row[keys] = np.arange(len(keys)) * (depth * m)
         self._base = first_row[lengths]
@@ -178,8 +177,8 @@ class PrefixMeasure:
         )
 
     def _walk(self, pick) -> np.ndarray:
-        """Per-position log2 probabilities of the letters that ``pick(rows, idx)``
-        chooses at the 0-based positions idx of each level, given their laws' rows."""
+        """Per-position log2 probabilities over one pass of the levels, where
+        ``pick(rows, idx)`` gives the letters at 0-based positions ``idx``."""
         m = self.sys.m
         log2p = np.empty(self.n)
         base = rows = self._base
@@ -202,6 +201,7 @@ class PrefixMeasure:
 
         def draw(rows, idx):
             take = u[idx]
+            # the narrowest letter type keeps the full-width first level small
             lets = np.zeros(len(idx), dtype=np.min_scalar_type(self.sys.m - 1))
             for column in self._cdf_columns:
                 lets += column[rows] <= take
