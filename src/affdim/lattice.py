@@ -223,7 +223,7 @@ def chain_levels(n: int, sys: AffineSystem):
 
 
 def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
-    """Full orbit length of the chain at each start, 0 for an infinite orbit.
+    """Full orbit length at each chain start of ``chain_levels``, 0 if infinite.
 
     No walk past the window is needed.  A start s has a successor iff
     s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.  The image
