@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from affdim import InvalidSystemError, chain_density, decompose, validate_system
+from affdim import CaseTag, InvalidSystemError, chain_density, decompose, validate_system
 from affdim.hausdorff import chain_potential, dimension as dim_h
 from affdim.measures import (
     PrefixMeasure,
@@ -38,6 +38,18 @@ SAMPLED_SYSTEMS = [(GOLDEN, *pqab) for pqab in BATTERY] + [
     (MIXED3, 4, 6, 1, 3),
     (MIXED3, 2, 5, 1, 0),
     (SPARSE5, 2, 4, 0, 1),
+]
+
+#: sha256 of repr((first, transitions)) of ``chain_measure(i, s)`` for
+#: i = 1..15 on each divisible-general entry of SAMPLED_SYSTEMS, recorded
+#: while the laws came from the per-length chain-potential tables; golden
+#: (2,3;0,0) and (4,6;1,3) share p1/q1 = 2/3, so their laws agree
+CHAIN_LAW_DIGESTS = [
+    (GOLDEN, (2, 3, 0, 0), "53c28fa72e74c5a0e78a39275c70f81fbc59975d398300b2f2575b0d1b8f439e"),
+    (GOLDEN, (3, 5, 1, 2), "2b1f1fa0c2f245c0942e744349799f6168d13d49cd0af5be8140807652563097"),
+    (GOLDEN, (4, 6, 1, 3), "53c28fa72e74c5a0e78a39275c70f81fbc59975d398300b2f2575b0d1b8f439e"),
+    (MIXED3, (4, 6, 1, 3), "03dfa39e6491092c34fb206ce5cda65258c29c607ac488b07719253098fe095b"),
+    (MIXED3, (2, 5, 1, 0), "64d0d3b693f4745c162630dd8c42eec171216e8fae783ddfaa7f4e3983b3da87"),
 ]
 
 
@@ -118,6 +130,23 @@ class TestChainMeasure:
             probs = [mu.word_probability(w) for w in words]
             assert sum(probs) == pytest.approx(1.0, abs=1e-12)
             assert all(p > 0 for p in probs)
+
+    @pytest.mark.parametrize("rows, pqab, digest", CHAIN_LAW_DIGESTS)
+    def test_laws_pinned(self, rows, pqab, digest):
+        # lengths 1..15 reach past the families that the sample pins draw
+        s = validate_system(*pqab, rows)
+        h = hashlib.sha256()
+        for i in range(1, 16):
+            mu = chain_measure(i, s)
+            h.update(repr((mu.first, mu.transitions)).encode())
+        assert h.hexdigest() == digest
+
+    def test_pins_cover_every_divisible_general_sampled_system(self):
+        general = [
+            (rows, tuple(pqab)) for rows, *pqab in SAMPLED_SYSTEMS
+            if validate_system(*pqab, rows).case_tag is CaseTag.DIVISIBLE_GENERAL
+        ]
+        assert [(rows, pqab) for rows, pqab, _ in CHAIN_LAW_DIGESTS] == general
 
     def test_entropy_identity(self):
         # weighted marginal entropies collapse to the potential payoff
