@@ -145,8 +145,9 @@ class ChainPotential:
     Level values u[k][x] aggregate admissible continuations below level
     k+1; the chain potential ``value`` normalizes the induced optimal
     measure, and log_m(value) weighted by S[0] is that measure's entropy
-    payoff.  It is the per-length reference that ``measures.chain_measure``
-    and the tests use; the series streams the same levels instead.
+    payoff.  It is the per-length reference that the tests compare against;
+    the series and ``measures.chain_measure`` read the same levels from
+    ``_levels`` instead.
     """
 
     i: int
@@ -155,7 +156,6 @@ class ChainPotential:
     u: tuple[tuple[float, ...], ...]
     value: float
     log_base: int
-    matrix_rows: tuple[tuple[int, ...], ...]
 
     def log_value(self) -> float:
         return math.log2(self.value) / math.log2(self.log_base)
@@ -163,28 +163,6 @@ class ChainPotential:
     def weight(self) -> Fraction:
         """Total density weight S_1 = sum_j chain_density(i, j)."""
         return self.S[0]
-
-    def first_letter_probs(self) -> tuple[float, ...]:
-        e = self.exponents[0]
-        return tuple(ux**e / self.value for ux in self.u[0])
-
-    def transition_probs(self, level: int) -> tuple[tuple[float, ...], ...]:
-        """Transition matrix from letters at ``level`` (1-based) to the next."""
-        if not 1 <= level <= self.i - 1:
-            raise ValueError(f"level must be in [1, {self.i - 1}], got {level}")
-        rows = []
-        e = self.exponents[level]
-        u_here = self.u[level - 1]
-        u_next = self.u[level]
-        for x in range(self.log_base):
-            row = []
-            for y in range(self.log_base):
-                if self.matrix_rows[x][y]:
-                    row.append(u_next[y] ** e / u_here[x])
-                else:
-                    row.append(0.0)
-            rows.append(tuple(row))
-        return tuple(rows)
 
 
 def chain_potential(i: int, sys: AffineSystem) -> ChainPotential:
@@ -228,7 +206,6 @@ def chain_potential(i: int, sys: AffineSystem) -> ChainPotential:
         u=tuple(u_levels),
         value=value,
         log_base=m,
-        matrix_rows=rows,
     )
 
 

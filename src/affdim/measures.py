@@ -3,10 +3,11 @@ the Monte Carlo local-dimension estimator.
 
 Every chain carries a measure determined by its full length: singletons are
 uniform, non-divisible pairs weight first letters by row sums to the power
-p/q, finite chains in the divisible-general case use the chain-potential
-dynamic program, and infinite chains (p1 = 1) use the fixed-point Markov
-measure.  The window prefix measure is the product of the per-chain measures
-of the restricted words, so sampled prefixes are admissible by construction.
+p/q, finite chains in the divisible-general case read the powered levels of
+``hausdorff._levels`` that the Hausdorff series sums, and infinite chains
+(p1 = 1) use the fixed-point Markov measure.  The window prefix measure is
+the product of the per-chain measures of the restricted words, so sampled
+prefixes are admissible by construction.
 Drawing and scoring share one pass over lattice's level walk, reading one
 table of laws indexed by (family, level, previous letter).
 """
@@ -15,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .core import AffineSystem, CaseTag, InvalidSystemError
-from .hausdorff import chain_potential, power_fixed_point
+from .hausdorff import _levels, power_fixed_point
 from .lattice import chain_levels, orbit_lengths
 
 
@@ -68,6 +71,16 @@ def letter_measure(m: int) -> ChainMeasure:
     return ChainMeasure(length=1, first=tuple(1.0 / m for _ in range(m)), transitions=())
 
 
+def _normalized(weights) -> tuple[float, ...]:
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+def _row_laws(sys: AffineSystem, w) -> tuple[tuple[float, ...], ...]:
+    """Rows of A·diag(w), each normalized to sum 1."""
+    return tuple(_normalized([a * wy for a, wy in zip(row, w)]) for row in sys.matrix.rows)
+
+
 def pair_measure(sys: AffineSystem) -> ChainMeasure:
     """Optimal law on non-divisible pairs: first letters proportional to
     row_sum^(p/q), successors uniform over admissible continuations."""
@@ -75,29 +88,33 @@ def pair_measure(sys: AffineSystem) -> ChainMeasure:
         raise InvalidSystemError(
             f"pair measure belongs to the non-divisible case, got {sys.case_tag.value}"
         )
-    ratio = sys.p / sys.q
-    rows = sys.matrix.rows
-    weights = [r**ratio for r in sys.matrix.row_sums]
-    total = sum(weights)
-    first = tuple(w / total for w in weights)
-    trans = tuple(
-        tuple(rows[x][y] / sys.matrix.row_sums[x] for y in range(sys.m))
-        for x in range(sys.m)
-    )
-    return ChainMeasure(length=2, first=first, transitions=(trans,))
+    first = _normalized([r ** (sys.p / sys.q) for r in sys.matrix.row_sums])
+    return ChainMeasure(length=2, first=first, transitions=(_row_laws(sys, [1.0] * sys.m),))
 
 
 def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
-    """Optimal law on divisible-general chains of full length i, realized
-    from the chain-potential tables (first letters from the top level,
-    transitions from consecutive level ratios)."""
+    """Optimal law on divisible-general chains of full length i.
+
+    With r = p1/q1 and P_0, P_1, ... the powered levels of ``_levels`` at r
+    (the stream the Hausdorff series sums), first letters are proportional
+    to P_(i-2), the letter after level l < i-1 follows row-normalized
+    A·diag(P_(i-2-l)), and the last one is uniform over admissible
+    continuations.  These are the laws of ``chain_potential(i)``'s tables,
+    float for float (see ``dimension_divisible``).
+    """
     if i == 1:
         return letter_measure(sys.m)
-    pot = chain_potential(i, sys)
+    if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
+        raise InvalidSystemError(
+            f"chain measures require the divisible-general case, got {sys.case_tag.value}"
+        )
+    if i < 1:
+        raise ValueError(f"chain measure is defined for lengths >= 1, got {i}")
+    powered = list(islice(_levels(sys.matrix, float(Fraction(sys.p1, sys.q1))), i - 1))
     return ChainMeasure(
         length=i,
-        first=pot.first_letter_probs(),
-        transitions=tuple(pot.transition_probs(level) for level in range(1, i)),
+        first=_normalized(powered[-1]),
+        transitions=tuple(_row_laws(sys, w) for w in [*reversed(powered[:-1]), [1.0] * sys.m]),
     )
 
 
@@ -108,17 +125,10 @@ def stationary_chain_measure(sys: AffineSystem) -> ChainMeasure:
         raise InvalidSystemError(
             "stationary chain measure requires infinite chains (p1 = 1)"
         )
-    fp = power_fixed_point(sys.matrix, sys.q1)
-    t = fp.values
-    total = sum(t)
-    rows = sys.matrix.rows
-    first = tuple(tx / total for tx in t)
-    trans = []
-    for x in range(sys.m):
-        weights = [rows[x][y] * t[y] for y in range(sys.m)]
-        s = sum(weights)
-        trans.append(tuple(w / s for w in weights))
-    return ChainMeasure(length=None, first=first, transitions=(tuple(trans),), stationary=True)
+    t = power_fixed_point(sys.matrix, sys.q1).values
+    return ChainMeasure(
+        length=None, first=_normalized(t), transitions=(_row_laws(sys, t),), stationary=True
+    )
 
 
 class PrefixMeasure:

@@ -148,6 +148,30 @@ class TestChainMeasure:
         ]
         assert [(rows, pqab) for rows, pqab, _ in CHAIN_LAW_DIGESTS] == general
 
+    @pytest.mark.parametrize("pqab", [(2, 3, 0, 0), (3, 5, 1, 2), (2, 5, 1, 0), (3, 8, 2, 0)])
+    def test_laws_equal_the_chain_potential_tables(self, pqab):
+        # the reference: first letters u[0]^e0 / value, and after level l the
+        # row x weights an admissible y by u[l][y]^e_l / u[l-1][x]
+        rng = random.Random(sum(pqab))
+        for rows in [GOLDEN, MIXED3, SPARSE5, PERIODIC3] + [
+            random_irreducible(m, rng) for m in (2, 3, 4, 5)
+        ]:
+            s = validate_system(*pqab, rows)
+            for i in range(2, 9):
+                pot = chain_potential(i, s)
+                e, u = pot.exponents, pot.u
+                first = tuple(ux ** e[0] / pot.value for ux in u[0])
+                transitions = tuple(
+                    tuple(
+                        tuple(u[l][y] ** e[l] / u[l - 1][x] if edge else 0.0
+                              for y, edge in enumerate(row))
+                        for x, row in enumerate(s.matrix.rows)
+                    )
+                    for l in range(1, i)
+                )
+                mu = chain_measure(i, s)
+                assert (mu.first, mu.transitions) == (first, transitions)
+
     def test_entropy_identity(self):
         # weighted marginal entropies collapse to the potential payoff
         rng = random.Random(77)
