@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, hausdorff, higher_order, measures, minkowski, oracle
-from .core import InvalidSystemError, NumericalError, load_system
+from .core import InvalidSystemError, NumericalError, _read_json, load_system
 from .lattice import decompose
 
 
@@ -152,6 +152,10 @@ def cmd_verify(args) -> None:
 
 def cmd_sample(args) -> None:
     system = load_system(args.system)
+    if system.m > 10:
+        raise InvalidSystemError(
+            f"sample prints one digit per letter, so it needs m <= 10, got m = {system.m}"
+        )
     pm = measures.PrefixMeasure(system, args.n)
     letters, neg_log2 = pm.sample(np.random.default_rng(args.seed))
     print("".join(str(int(v)) for v in letters))
@@ -208,8 +212,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_higher_order(args) -> None:
     system = load_system(args.system)
-    with open(args.forbidden, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(args.forbidden, "forbidden-word")
     if not isinstance(data, dict) or not isinstance(data.get("words"), list):
         raise InvalidSystemError('forbidden-word file must be {"words": [...]} ')
     words = frozenset(tuple(int(ch) for ch in str(w)) for w in data["words"])

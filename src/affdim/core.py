@@ -311,15 +311,20 @@ def system_from_json_dict(data: dict) -> AffineSystem:
     return validate_system(data["p"], data["q"], data["a"], data["b"], matrix)
 
 
-def load_system(path: str) -> AffineSystem:
+def _read_json(path: str, what: str):
+    """The JSON value in the ``what`` file at ``path``; malformed JSON and a
+    directory raise InvalidSystemError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidSystemError(f"malformed JSON in {path}: {exc}") from exc
     except IsADirectoryError as exc:
-        raise InvalidSystemError(f"system path {path} is a directory") from exc
-    return system_from_json_dict(data)
+        raise InvalidSystemError(f"{what} path {path} is a directory") from exc
+
+
+def load_system(path: str) -> AffineSystem:
+    return system_from_json_dict(_read_json(path, "system"))
 
 
 @dataclass(frozen=True)

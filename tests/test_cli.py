@@ -137,8 +137,12 @@ class TestMalformedInput:
             ('{"m": 2, "matrix": [1, 1], "p": 1, "q": 2, "a": 0, "b": 0}', None),
             ("directory", None),
             ('{"m": 2, "matrix": [[1, 1], [1, 0]], "p": 1, "q": 2, "a": 0, "b": 0}', '{"words": 5}'),
+            ('{"m": 2, "matrix": [[1, 1], [1, 0]], "p": 1, "q": 2, "a": 0, "b": 0}', "directory"),
         ],
-        ids=["list", "null", "number", "flat-matrix", "directory", "words-number"],
+        ids=[
+            "list", "null", "number", "flat-matrix", "directory", "words-number",
+            "forbidden-directory",
+        ],
     )
     def test_exits_one_without_traceback(self, tmp_path, system, forbidden):
         if system == "directory":
@@ -149,18 +153,38 @@ class TestMalformedInput:
         if forbidden is None:
             argv = ["dim", str(path)]
         else:
-            words = tmp_path / "words.json"
-            words.write_text(forbidden)
+            if forbidden == "directory":
+                words = tmp_path
+            else:
+                words = tmp_path / "words.json"
+                words.write_text(forbidden)
             argv = ["higher-order", "--forbidden", str(words), "--n-grid", "16", str(path)]
-        # a child process, so that an escaping exception shows as a traceback
-        env = dict(os.environ, PYTHONPATH=str(Path(affdim.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "affdim.cli", *argv], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "Traceback" not in proc.stderr
-        assert proc.stdout == ""
+        assert_refused_in_child(*argv)
+
+    def test_sample_refuses_more_than_ten_letters(self, tmp_path):
+        # letters >= 10 would print two digits and the prefix line could not
+        # be read back
+        path = system_file(tmp_path, (1, 2, 0, 0), tuple((1,) * 11 for _ in range(11)))
+        assert_refused_in_child("sample", "--n", "20", "--seed", "3", path)
+
+    def test_sample_prints_one_digit_per_letter_on_ten_letters(self, capsys, tmp_path):
+        path = system_file(tmp_path, (1, 2, 0, 0), tuple((1,) * 10 for _ in range(10)))
+        code, out, _ = run(capsys, "sample", "--n", "20", "--seed", "3", path)
+        assert code == 0
+        assert len(out.splitlines()[0]) == 20
+
+
+def assert_refused_in_child(*argv):
+    """Exit 1 with an ``error:`` line, no traceback and no stdout, in a child
+    process, so that an escaping exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(affdim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "affdim.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 class TestDecomposeAndCount:
