@@ -5,6 +5,10 @@ applicable k: this package computes their Minkowski and Hausdorff
 dimensions, the underlying chain decompositions and densities, the
 entropy-optimal measures, and independent enumeration oracles that verify
 every closed form.
+
+Only the array code (the vectorized chain walks, the sampler and the
+entropy optimizer) imports numpy, when it runs, so importing the package
+loads neither numpy nor mpmath.
 """
 
 __version__ = "0.1.0"

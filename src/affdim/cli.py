@@ -17,8 +17,6 @@ import math
 import sys as _sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, hausdorff, higher_order, measures, minkowski, oracle
 from .core import InvalidSystemError, NumericalError, _read_json, load_system
 from .lattice import decompose
@@ -151,6 +149,8 @@ def cmd_verify(args) -> None:
 
 
 def cmd_sample(args) -> None:
+    import numpy as np
+
     system = load_system(args.system)
     if system.m > 10:
         raise InvalidSystemError(

@@ -331,8 +331,12 @@ def load_system(path: str) -> AffineSystem:
 class DimensionReport:
     """Result of a dimension computation plus its accuracy accounting.
 
-    For series-based values the reported value underestimates the true sum
-    by at most ``tail_bound``; closed forms carry tail_bound == 0.
+    For series-based values the true sum lies within ``rounding_bound`` of
+    ``value`` plus at most ``tail_bound``: the omitted terms add at most
+    ``tail_bound`` and the float arithmetic of the summed ones errs by at
+    most ``rounding_bound``.  Closed forms carry tail_bound == 0, and
+    rounding_bound == 0 where no bound is derived.  ``to_dict`` leaves
+    rounding_bound out, so the report schema stays as it was.
     """
 
     value: float
@@ -341,6 +345,7 @@ class DimensionReport:
     truncation_index: int
     tail_bound: float
     tolerance: float
+    rounding_bound: float = 0.0
     notes: tuple[str, ...] = ()
     #: per-term diagnostics for series-based values, e.g. one entry per
     #: chain length in the divisible Hausdorff series

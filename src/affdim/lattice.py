@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import AffineSystem, CaseTag, InvalidSystemError
 
 
@@ -182,7 +180,7 @@ def _check_int64(n: int, sys: AffineSystem) -> None:
         sys.q * reach + abs(sys.b),
         (sys.q1 - sys.p1) * reach + abs(sys.c or 0),
     )
-    if largest > np.iinfo(np.int64).max:
+    if largest > 2**63 - 1:
         raise InvalidSystemError(
             f"window n={n} of {sys.describe()} takes the vectorized chain walk "
             f"past the int64 range; decompose and window_counts are exact"
@@ -197,6 +195,8 @@ def chain_levels(n: int, sys: AffineSystem):
     whose next member is in the window.  This is the one vectorized walk of
     the successor map, and it touches only the chains that advance.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
     _check_monotone(sys)
@@ -237,6 +237,8 @@ def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
     orbit is infinite.  In the non-divisible case d never divides the image
     minus a, so the orbit is the pair {s, q*k0 + b}.
     """
+    import numpy as np
+
     offs = starts - sys.a
     k0 = offs // sys.p
     has_next = (offs % sys.p == 0) & (k0 >= sys.k_min)
@@ -256,6 +258,8 @@ def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
 def chain_walk(n: int, sys: AffineSystem) -> ChainWalk:
     """The chains of ``decompose`` without materializing them: window counts
     over ``chain_levels``, full lengths from ``orbit_lengths``."""
+    import numpy as np
+
     levels = chain_levels(n, sys)
     starts, more = next(levels)
     window = np.ones(len(starts), dtype=np.int64)
@@ -274,6 +278,8 @@ def empirical_census(n: int, sys: AffineSystem) -> Census:
     Chains with an infinite orbit take full-length key 0, as in
     ``measures.PrefixMeasure``, and are tallied in ``truncated``.
     """
+    import numpy as np
+
     walk = chain_walk(n, sys)
     stride = int(walk.window.max()) + 1
     keys = np.where(walk.truncated, 0, walk.full_length) * stride + walk.window

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-import numpy as np
-
 from .core import AffineSystem, CaseTag, InvalidSystemError
 from .hausdorff import _levels, power_fixed_point
 from .lattice import chain_levels, orbit_lengths
@@ -141,6 +139,8 @@ class PrefixMeasure:
     """
 
     def __init__(self, sys: AffineSystem, n: int):
+        import numpy as np
+
         self.sys = sys
         self.n = n
         m = sys.m
@@ -189,6 +189,8 @@ class PrefixMeasure:
     def _walk(self, pick) -> np.ndarray:
         """Per-position log2 probabilities over one pass of the levels, where
         ``pick(rows, idx)`` gives the letters at 0-based positions ``idx``."""
+        import numpy as np
+
         m = self.sys.m
         log2p = np.empty(self.n)
         base = rows = self._base
@@ -206,6 +208,8 @@ class PrefixMeasure:
         only on the generator state, not on chain processing order.  The
         letter is the number of CDF entries <= u.
         """
+        import numpy as np
+
         u = rng.random(self.n)
         letters = np.empty(self.n, dtype=np.int64)
 
@@ -222,6 +226,8 @@ class PrefixMeasure:
 
     def neg_log_prob(self, word) -> float:
         """-log_m of the prefix probability of ``word`` (inf if excluded)."""
+        import numpy as np
+
         word = np.asarray(word, dtype=np.int64)
         if len(word) != self.n:
             raise ValueError(f"word length {len(word)} != window {self.n}")
@@ -233,6 +239,8 @@ class PrefixMeasure:
 
 def sample_prefix(sys: AffineSystem, n: int, seed: int) -> np.ndarray:
     """Deterministic admissible prefix of length n for the given seed."""
+    import numpy as np
+
     return PrefixMeasure(sys, n).sample(np.random.default_rng(seed))[0]
 
 
@@ -244,6 +252,8 @@ def empirical_local_dimension(
     Sampled under the optimal product measure this estimates the Hausdorff
     dimension; sample s uses the derived seed sequence (seed, s).
     """
+    import numpy as np
+
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     pm = PrefixMeasure(sys, n)

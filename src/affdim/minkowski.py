@@ -2,8 +2,9 @@
 exact admissible-pattern counts over finite windows.
 
 The divisible closed form is a series over matrix power sums; it is summed
-in high precision and truncated once a matrix-independent geometric tail
-bound drops below the requested tolerance.  Window pattern counts multiply
+in floats with ``math.fsum``, truncated once a matrix-independent geometric
+tail bound drops below the requested tolerance, and reported with a
+rigorous bound on its float rounding.  Window pattern counts multiply
 one exact power-sum factor per chain, which the enumeration oracle checks
 against raw constraint counting.
 """
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .core import (
     AffineSystem,
@@ -27,7 +26,8 @@ from .core import (
 )
 from .lattice import Census, window_counts
 
-_DPS = 40
+#: the unit roundoff 2**-53 doubled
+_TWO_U = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,15 @@ class SeriesEvaluation:
 
     tail_bound dominates the omitted terms via log_m |A^{i-1}| <= i + 1 and
     an arithmetic-geometric closed form, so it is rigorous for every binary
-    matrix and shrinks monotonically as terms_used grows.
+    matrix and shrinks monotonically as terms_used grows.  rounding_bound
+    dominates the float error of partial_sum against the exact truncated sum.
     """
 
     partial_sum: float
     terms_used: int
     tail_bound: float
     log_base: int
+    rounding_bound: float = 0.0
 
 
 def series_tail_bound(upto_i: int, q1: int, d: int) -> Fraction:
@@ -59,20 +61,45 @@ def _log_series_tail(upto_i: int, q1: int, d: int) -> float:
     return math.log((q1 - 1) * upto_i + 2 * q1 - 1) - math.log(d) - (upto_i + 1) * math.log(q1)
 
 
-def _series_value(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int):
-    """Sum ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1} up to
-    the first i whose tail bound is <= tol.  Returns (value_mpf, N, tail_bound)."""
+def _series_terms(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int):
+    """Float terms of ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1}
+    up to the first i whose tail bound is <= tol.  Returns (terms, N, tail_bound).
+
+    Each weight (q1-1)^2 / (d q1^(i+1)) is one correctly rounded quotient of
+    exact integers.  It is at most 1, so it cannot overflow, even for q1 or d
+    past the float range, and far out it underflows to a subnormal or zero.
+    """
     N, tail = truncation_index(
         lambda i: series_tail_bound(i, q1, d), lambda i: _log_series_tail(i, q1, d), first_i, tol
     )
-    m = matrix.m
-    with mp.workdps(_DPS):
-        log_m = mp.log(m)
-        coeff = mp.mpf((q1 - 1) ** 2) / d
-        total = mp.mpf(0)
-        for i in range(first_i, N + 1):
-            total += mp.log(matrix.power_sum(i - 1)) / log_m / mp.mpf(q1) ** (i + 1)
-        return coeff * total, N, tail
+    ln_m = math.log(matrix.m)
+    num, den = (q1 - 1) ** 2, d * q1**first_i
+    terms = []
+    for i in range(first_i, N + 1):
+        den *= q1
+        terms.append(math.log(matrix.power_sum(i - 1)) / ln_m * (num / den))
+    return terms, N, tail
+
+
+def _rounding_bound(value: float, const: float, partial: float, N: int) -> float:
+    """Bound on |value - exact| where value = fsum([const, *terms]) was
+    computed from a constant rounded once, partial = fsum(terms), and the
+    N or fewer terms of ``_series_terms``; u = 2^-53.
+
+    Assuming math.log is within 1 ulp, a term log(P) / log(m) * w rounds
+    log(P) within 5u relative (P >= 2; rounding P to a float adds at most
+    u / ln 2, and past the float range math.log adds e * log(2) to the log
+    of a rounded mantissa, within 4.01u), log(m) within 2u, and the
+    quotient, the weight and the product within u each: 10u to first
+    order, at most 11u of the float term.  Every term is positive, and the
+    constant and the fsum result are rounded once each.  So the error is at
+    most u * (value + const) + 11u * partial * (1 + u); the first part
+    below exceeds that by u * (value + const) + 5u * partial, which covers
+    its own float evaluation.  A term with a subnormal weight has log_m P in [1, i] (P >= m for an
+    irreducible matrix) and errs by less than 32 (i + 1) 2^-1075 in
+    absolute terms; over all terms that is under (N + 2)^2 2^-1070.
+    """
+    return _TWO_U * (value + const + 8 * partial) + (N + 2) ** 2 * 2.0**-1070
 
 
 def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
@@ -99,10 +126,9 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     if not sys.divisible:
         raise InvalidSystemError("divisible formula called on a non-divisible system")
     d, q1 = sys.d, sys.q1
-    const = 1 - Fraction(2 * q1 - 1, d * q1**2)
-    series, N, tail = _series_value(sys.matrix, q1, d, tol, first_i=2)
-    with mp.workdps(_DPS):
-        value = float(mp.mpf(const.numerator) / const.denominator + series)
+    const = float(1 - Fraction(2 * q1 - 1, d * q1**2))
+    terms, N, tail = _series_terms(sys.matrix, q1, d, tol, first_i=2)
+    value = math.fsum([const, *terms])
     return DimensionReport(
         value=value,
         kind="minkowski",
@@ -110,6 +136,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         truncation_index=N,
         tail_bound=float(tail),
         tolerance=tol,
+        rounding_bound=_rounding_bound(value, const, math.fsum(terms), N),
     )
 
 
@@ -117,14 +144,16 @@ def dimension_classical(q: int, matrix: TransitionMatrix, tol: float = 1e-8) -> 
     """Series (q-1)^2 sum_{i>=1} log_m |A^{i-1}| / q^{i+1} for ratio-q systems."""
     if q < 2:
         raise InvalidSystemError(f"classical ratio must be >= 2, got {q}")
-    series, N, tail = _series_value(matrix, q, 1, tol, first_i=1)
+    terms, N, tail = _series_terms(matrix, q, 1, tol, first_i=1)
+    value = math.fsum(terms)
     return DimensionReport(
-        value=float(series),
+        value=value,
         kind="minkowski",
         case_tag=CaseTag.CLASSICAL,
         truncation_index=N,
         tail_bound=float(tail),
         tolerance=tol,
+        rounding_bound=_rounding_bound(value, 0.0, value, N),
     )
 
 
@@ -140,9 +169,14 @@ def series_evaluation(sys: AffineSystem, tol: float = 1e-8) -> SeriesEvaluation:
     """The truncated divisible-case series with its rigorous tail bound."""
     if not sys.divisible:
         raise InvalidSystemError("the power-sum series belongs to the divisible case")
-    series, N, tail = _series_value(sys.matrix, sys.q1, sys.d, tol, first_i=2)
+    terms, N, tail = _series_terms(sys.matrix, sys.q1, sys.d, tol, first_i=2)
+    partial = math.fsum(terms)
     return SeriesEvaluation(
-        partial_sum=float(series), terms_used=N, tail_bound=float(tail), log_base=sys.m
+        partial_sum=partial,
+        terms_used=N,
+        tail_bound=float(tail),
+        log_base=sys.m,
+        rounding_bound=_rounding_bound(partial, 0.0, partial, N),
     )
 
 

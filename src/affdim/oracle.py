@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import AffineSystem, InvalidSystemError, NumericalError, TransitionMatrix
 
 #: cap on (number of frontier states) * alphabet * window accepted by the
@@ -102,6 +100,8 @@ def brute_force_counts_upto(
     At time t exactly the constraints with both (all) positions <= t have
     been enforced, so the running total is the window-t count.
     """
+    if n < 1:
+        raise ValueError(f"window size must be >= 1, got {n}")
     extras = _normalize_extra(extra_constraints, n, sys.m)
     return _frontier_counts(n, sys, extras)
 
@@ -234,6 +234,8 @@ def admissible_words(matrix: TransitionMatrix, length: int) -> list[tuple[int, .
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
+    import numpy as np
+
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     rho = np.nonzero(u + (1.0 - css) / np.arange(1, len(v) + 1) > 0)[0][-1]
@@ -256,6 +258,8 @@ def maximize_chain_entropy(
     tolerance signals a bug rather than a modeling limit.  Returns
     (optimum, argmax distribution, word list).
     """
+    import numpy as np
+
     if len(weights) != i:
         raise ValueError(f"need {i} weights, got {len(weights)}")
     w = np.array([float(x) for x in weights])

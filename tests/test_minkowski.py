@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from affdim import InvalidSystemError, validate_system
+from affdim import InvalidSystemError, TransitionMatrix, validate_system
 from affdim.minkowski import (
     dimension,
     dimension_classical,
@@ -18,6 +19,7 @@ from conftest import (
     BATTERY,
     FULL2,
     GOLDEN,
+    PERIODIC,
     edge_tolerances,
     random_irreducible,
     reference_truncation,
@@ -143,6 +145,68 @@ class TestSeries:
         assert ev.log_base == 2
         assert ev.tail_bound <= 1e-9
         assert ev.terms_used >= 2
+
+
+class TestRoundingBound:
+    """The float series against the same truncated sum in 60-digit mpmath."""
+
+    TOLS = (1e-3, 1e-8, 1e-15, 1e-300, 5e-324)
+
+    def test_float_sum_within_rounding_bound(self):
+        import mpmath as mp
+
+        rng = random.Random(20241018)
+        matrices = [random_irreducible(rng.randint(2, 5), rng) for _ in range(8)]
+        matrices += [TransitionMatrix.from_rows(rows) for rows in PERIODIC]
+        checked = 0
+        with mp.workdps(60):
+            for mat in matrices:
+                sums = {}  # q1 -> prefix sums S[N] = sum_{i=1..N} log_m |A^{i-1}| / q1^(i+1)
+
+                def prefix(q1, N):
+                    S = sums.setdefault(q1, [mp.mpf(0)])
+                    while len(S) <= N:
+                        i = len(S)
+                        S.append(S[-1] + mp.log(mat.power_sum(i - 1), mat.m) / mp.mpf(q1) ** (i + 1))
+                    return S[N]
+
+                for p, q, a, b in [(p, q, a, b) for p in range(1, 5) for q in range(5, 9)
+                                   for a, b in ((0, 0), (1, 3))]:
+                    s = validate_system(p, q, a, b, mat)
+                    if not s.divisible:
+                        continue
+                    q1, d = s.q1, s.d
+                    const = 1 - mp.mpf(2 * q1 - 1) / (d * q1**2)
+                    for tol in self.TOLS:
+                        report = dimension(s, tol)
+                        ev = series_evaluation(s, tol)
+                        N = report.truncation_index
+                        series = mp.mpf((q1 - 1) ** 2) / d * (prefix(q1, N) - prefix(q1, 1))
+                        assert abs(report.value - (const + series)) <= report.rounding_bound
+                        assert abs(ev.partial_sum - series) <= ev.rounding_bound
+                        assert 0 < ev.rounding_bound < report.rounding_bound <= 1e-14
+                        if p == 1:
+                            cls = dimension_classical(q, mat, tol)
+                            ref = (q - 1) ** 2 * prefix(q, cls.truncation_index)
+                            assert abs(cls.value - ref) <= cls.rounding_bound <= 1e-14
+                        checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize(
+        "pqab",
+        [(1, 10**400, 0, 0), (10**400, 3 * 10**400, 0, 0), (2 * 10**300, 3 * 10**300, 0, 0)],
+        ids=["classical", "degenerate", "general"],
+    )
+    def test_ratio_and_gcd_past_the_float_range(self, pqab):
+        # each weight (q1-1)^2 / (d q1^(i+1)) is a quotient of exact integers,
+        # so neither q1 nor d is ever converted to a float
+        s = sys_golden(*pqab)
+        for tol in self.TOLS:
+            report = dimension(s, tol)
+            exact = 1 - Fraction(2 * s.q1 - 1, s.d * s.q1**2)
+            assert 0 <= report.value - float(exact) <= report.tail_bound + report.rounding_bound
+        if s.p == 1:
+            assert dimension_classical(s.q, s.matrix).value == 1.0
 
 
 class TestPatternCount:
