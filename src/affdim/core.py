@@ -81,6 +81,13 @@ def truncation_index(
     return N, value
 
 
+def _div_int(x: float, n: int) -> float:
+    """x / n correctly rounded for a nonzero int n of any size.  The plain
+    ``x / n`` converts n to a float first, which raises OverflowError once n
+    is past the float range; for |n| <= 2**53 both give the same float."""
+    return float(Fraction(x) / n)
+
+
 def _ceil_div(num: int, den: int) -> int:
     # den > 0; works for negative num (true ceiling)
     return -((-num) // den)

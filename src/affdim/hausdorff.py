@@ -19,6 +19,7 @@ from .core import (
     InvalidSystemError,
     NumericalError,
     TransitionMatrix,
+    _div_int,
     check_tolerance,
     truncation_index,
 )
@@ -74,8 +75,15 @@ def power_fixed_point(
     check_tolerance(tol)
     if 0 in matrix.row_sums:
         raise InvalidSystemError("fixed-point vector requires a matrix without zero rows")
+    try:
+        r = 1.0 / exponent
+    except OverflowError:
+        # t^exponent would overflow too: the iterate cannot be held in floats
+        raise InvalidSystemError(
+            f"fixed-point exponent of {exponent.bit_length()} bits is past the float range"
+        ) from None
     t = [1.0] * matrix.m
-    for iteration, nxt in zip(range(1, max_iterations + 1), _levels(matrix, 1.0 / exponent)):
+    for iteration, nxt in zip(range(1, max_iterations + 1), _levels(matrix, r)):
         step = max(abs(nx - tx) for nx, tx in zip(nxt, t))
         t = nxt
         if step < tol / 10:
@@ -104,7 +112,7 @@ def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
         )
     ratio = sys.p / sys.q
     total = sum(r**ratio for r in sys.matrix.row_sums)
-    value = 1 - 1 / sys.p - 1 / sys.q + math.log2(total) / math.log2(sys.m) / sys.p
+    value = 1 - 1 / sys.p - 1 / sys.q + _div_int(math.log2(total) / math.log2(sys.m), sys.p)
     return DimensionReport(
         value=value,
         kind="hausdorff",
@@ -294,7 +302,7 @@ def dimension_degenerate(sys: AffineSystem, tol: float = 1e-10) -> DimensionRepo
             f"degenerate reduction called on {sys.case_tag.value} system"
         )
     ratio_dim, _ = _ratio_dimension(sys.matrix, sys.q1, tol)
-    value = (1 - 1 / sys.p) + ratio_dim / sys.p
+    value = (1 - 1 / sys.p) + _div_int(ratio_dim, sys.p)
     literal = 1 - Fraction(1, sys.p) - Fraction(1, sys.q) + Fraction(1, sys.d * sys.p1 * sys.q1)
     return DimensionReport(
         value=value,

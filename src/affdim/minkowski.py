@@ -21,6 +21,7 @@ from .core import (
     DimensionReport,
     InvalidSystemError,
     TransitionMatrix,
+    _div_int,
     check_tolerance,
     truncation_index,
 )
@@ -108,7 +109,7 @@ def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
         raise InvalidSystemError(
             f"non-divisible formula called on {sys.case_tag.value} system"
         )
-    value = 1 - 2 / sys.q + math.log2(sys.matrix.entry_sum) / math.log2(sys.m) / sys.q
+    value = 1 - 2 / sys.q + _div_int(math.log2(sys.matrix.entry_sum) / math.log2(sys.m), sys.q)
     return DimensionReport(
         value=value,
         kind="minkowski",

@@ -4,7 +4,10 @@
 raw pairwise (and optional higher-order) constraints, never touching the
 chain decomposition or power-sum formulas it is used to check.
 ``maximize_chain_entropy`` numerically maximizes weighted marginal entropies
-over the probability simplex on admissible words.
+over the probability simplex on admissible words, by damped Newton steps
+whose linear systems are solved exactly along the words' prefix tree.  It
+uses only the objective and its derivatives, never the backward recursion
+of ``hausdorff.chain_potential`` that it checks.
 """
 
 from __future__ import annotations
@@ -223,13 +226,44 @@ def _dfs_count(n: int, sys: AffineSystem, extras: list[Constraint]) -> int:
     return rec(0)
 
 
-def admissible_words(matrix: TransitionMatrix, length: int) -> list[tuple[int, ...]]:
-    """All words w with matrix[w_k][w_{k+1}] = 1 along consecutive letters."""
-    m = matrix.m
-    words: list[tuple[int, ...]] = [(x,) for x in range(m)]
+def _prefix_tree(matrix: TransitionMatrix, length: int):
+    """The prefixes of the admissible words of the given length, level by
+    level: ``letters[k]`` holds the last letter of each length-(k+1) prefix
+    and ``parents[k]`` the index of each length-(k+2) prefix's own prefix in
+    level k.  Each level is built from the one above it, its nodes grouped by
+    parent and each group in letter order, and a letter enters level k only
+    if an admissible word continues it to the full length, so every node has
+    a child."""
+    import numpy as np
+
+    rows = np.array(matrix.rows, dtype=np.int64)
+    # alive[d][x]: some admissible word of d more letters starts after x
+    alive = [np.ones(matrix.m, dtype=bool)]
     for _ in range(length - 1):
-        words = [w + (y,) for w in words for y in range(m) if matrix.rows[w[-1]][y]]
-    return words
+        alive.append(rows @ alive[-1] > 0)
+    letters = [np.flatnonzero(alive[length - 1])]
+    parents = []
+    for k in range(length - 1):
+        parent, letter = np.nonzero(rows[letters[-1]].astype(bool) & alive[length - 2 - k])
+        parents.append(parent)
+        letters.append(letter)
+    return letters, parents
+
+
+def _leaf_words(letters, parents) -> list[tuple[int, ...]]:
+    """The words spelled by the root-to-leaf paths of a ``_prefix_tree``."""
+    columns = [letters[-1]]
+    node = None
+    for k in range(len(parents) - 1, -1, -1):
+        node = parents[k] if node is None else parents[k][node]
+        columns.append(letters[k][node])
+    return list(zip(*(column.tolist() for column in reversed(columns))))
+
+
+def admissible_words(matrix: TransitionMatrix, length: int) -> list[tuple[int, ...]]:
+    """All words w with matrix[w_k][w_{k+1}] = 1 along consecutive letters,
+    in lexicographic order."""
+    return _leaf_words(*_prefix_tree(matrix, length))
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -243,6 +277,38 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
+def _newton_direction(c, parents, margs, g):
+    """d = K^-1 (g - nu 1) with nu = 1^T K^-1 g / 1^T K^-1 1, for the negated
+    Hessian K of ``maximize_chain_entropy`` at the word distribution
+    margs[-1] whose length-(k+1) prefix marginals are margs[k].
+
+    K restricted to the words below a node v of level k < i - 1 is
+    K_v = B_v + a_v 1 1^T with a_v = c[k] / margs[k][v] and B_v block
+    diagonal over v's children; a word's own block is c[-1] / mu.  By
+    Sherman-Morrison, with s = 1^T B_v^-1 1 and t = 1^T B_v^-1 b,
+    1^T K_v^-1 1 = s / (1 + a_v s), 1^T K_v^-1 b = t / (1 + a_v s) and
+    K_v^-1 (b - x 1) = B_v^-1 (b - x' 1), x' = x + a_v (t - x s) / (1 + a_v s).
+    The first two go up the tree, the shift x' comes down it, starting from
+    nu at the root, so 1^T d = 0."""
+    import numpy as np
+
+    mu = margs[-1]
+    ones, rhs = mu / c[-1], g * mu / c[-1]  # K^-1 1 and K^-1 g on each word
+    up = []
+    for k in range(len(parents) - 1, -1, -1):
+        a = c[k] / margs[k]
+        s = np.bincount(parents[k], weights=ones)
+        t = np.bincount(parents[k], weights=rhs)
+        den = 1.0 + a * s
+        ones, rhs = s / den, t / den
+        up.append((a, s, t, den))
+    shift = rhs.sum() / ones.sum()
+    for k in range(len(parents)):
+        a, s, t, den = up.pop()
+        shift = (shift + a * (t - shift * s) / den)[parents[k]]
+    return (g - shift) * mu / c[-1]
+
+
 def maximize_chain_entropy(
     i: int,
     weights: Sequence,
@@ -250,69 +316,90 @@ def maximize_chain_entropy(
     tol: float = 1e-7,
     max_iterations: int = 200_000,
 ) -> tuple[float, np.ndarray, list[tuple[int, ...]]]:
-    """Maximize sum_j weights[j-1] * H(j-th marginal) over distributions on
-    admissible words of length i.
+    """Maximize f(mu) = sum_j weights[j-1] * H_m(j-th marginal) over
+    distributions mu on the admissible words of length i.
 
-    Projected gradient ascent with backtracking from the uniform-admissible
-    start; the objective is concave, so failure to reach the stationarity
-    tolerance signals a bug rather than a modeling limit.  Returns
-    (optimum, argmax distribution, word list).
+    Damped Newton ascent on the hyperplane sum(mu) = 1 from the uniform
+    start.  With c_j = weights[j-1] / ln m and P_j the map from words to
+    their length-j prefixes, the negated Hessian is
+    K = sum_j c_j P_j^T diag(1 / marg_j) P_j: the j = i term is the diagonal
+    c_i / mu, and each prefix node v of length j < i adds the rank-one block
+    (c_j / marg_j(v)) 1 1^T on the words below it.  These blocks nest along
+    the prefix tree, so K x = b is solved exactly by Sherman-Morrison at
+    every node: a bottom-up pass collects 1^T K_v^-1 1 and 1^T K_v^-1 b for
+    each subtree, and a top-down pass hands each subtree its constant
+    correction, in O(W i) per step for W words.  The multiplier
+    nu = 1^T K^-1 g / 1^T K^-1 1 makes the step d = K^-1 (g - nu 1) keep
+    sum(mu) fixed.  Each step goes at most 0.99 of the way to the boundary
+    of the simplex, so mu stays positive, and is halved until f does not
+    decrease: until f(cand) >= f(mu) - 1e-18, or, where rounding hides a
+    gain that small in the value of f, until the slope of f along d is still
+    non-negative at cand, which implies it because f is concave.
+
+    The stopping certificate is the projected-gradient one: stop once
+    max |project_to_simplex(mu + g) - mu| <= tol for the gradient g.  The
+    objective is concave, so failure to reach it signals a bug rather than
+    a modeling limit.  Returns (optimum, argmax distribution, word list),
+    the distribution in ``admissible_words`` order.
     """
     import numpy as np
 
+    if i < 1:
+        raise ValueError(f"word length must be >= 1, got {i}")
     if len(weights) != i:
         raise ValueError(f"need {i} weights, got {len(weights)}")
     w = np.array([float(x) for x in weights])
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    words = admissible_words(matrix, i)
+    letters, parents = _prefix_tree(matrix, i)
+    words = _leaf_words(letters, parents)
     W = len(words)
     if W == 0:
         raise InvalidSystemError("matrix admits no words of the requested length")
-    ln_m = np.log(matrix.m)
+    c = w / np.log(matrix.m)
 
-    # prefix_index[j] maps word index -> index of its length-(j+1) prefix
-    prefix_maps = []
-    for j in range(i):
-        prefixes = sorted({word[: j + 1] for word in words})
-        lookup = {pfx: idx for idx, pfx in enumerate(prefixes)}
-        prefix_maps.append(np.array([lookup[word[: j + 1]] for word in words]))
+    def marginals(mu: np.ndarray) -> list[np.ndarray]:
+        margs = [mu]
+        for k in range(i - 2, -1, -1):
+            margs.append(np.bincount(parents[k], weights=margs[-1]))
+        return margs[::-1]
 
-    def objective(mu: np.ndarray) -> float:
-        total = 0.0
-        for j in range(i):
-            marg = np.bincount(prefix_maps[j], weights=mu)
-            pos = marg[marg > 1e-300]
-            total += w[j] * float(-(pos * np.log(pos)).sum()) / ln_m
-        return total
+    def objective(margs: list[np.ndarray]) -> float:
+        return float(sum(-cj * (marg * np.log(marg)).sum() for cj, marg in zip(c, margs)))
 
-    def gradient(mu: np.ndarray) -> np.ndarray:
-        g = np.zeros(W)
-        for j in range(i):
-            marg = np.bincount(prefix_maps[j], weights=mu)
-            g += w[j] * (-(np.log(np.maximum(marg[prefix_maps[j]], 1e-300)) + 1.0)) / ln_m
+    def gradient(margs: list[np.ndarray]) -> np.ndarray:
+        g = c[0] * (-np.log(margs[0]) - 1.0)
+        for k in range(1, i):
+            g = g[parents[k - 1]] + c[k] * (-np.log(margs[k]) - 1.0)
         return g
 
     mu = np.full(W, 1.0 / W)
-    f = objective(mu)
-    eta = 1.0
+    margs = marginals(mu)
+    f = objective(margs)
+    g = gradient(margs)
     for _ in range(max_iterations):
-        g = gradient(mu)
         if np.max(np.abs(project_to_simplex(mu + g) - mu)) <= tol:
             return f, mu, words
-        eta = min(eta * 2.0, 1e6)
+        d = _newton_direction(c, parents, margs, g)
+        d -= d.mean()  # 1^T d = 0 holds only up to rounding
+        shrinking = d < 0
+        step = min(1.0, 0.99 * float(np.min(mu[shrinking] / -d[shrinking])))
         while True:
-            cand = project_to_simplex(mu + eta * g)
-            fc = objective(cand)
-            if fc >= f - 1e-18:
+            cand = mu + step * d
+            cand_margs = marginals(cand)
+            fc = objective(cand_margs)
+            cand_g = gradient(cand_margs)
+            # f is concave along d: a step that ends still climbing has not
+            # lowered f, even where rounding hides the gain in fc
+            if fc >= f - 1e-18 or cand_g @ d >= 0:
                 break
-            if eta < 1e-18:
+            if step < 1e-18:
                 raise NumericalError(
                     "entropy maximization stalled before reaching stationarity; "
                     "the objective is concave, so this indicates a fault"
                 )
-            eta *= 0.5
-        mu, f = cand, max(fc, f)
+            step *= 0.5
+        mu, margs, g, f = cand, cand_margs, cand_g, max(fc, f)
     raise NumericalError(
         "entropy maximization exhausted its iteration budget; the objective "
         "is concave, so this indicates a fault"

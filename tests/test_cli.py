@@ -167,6 +167,25 @@ class TestMalformedInput:
         path = system_file(tmp_path, (1, 2, 0, 0), tuple((1,) * 11 for _ in range(11)))
         assert_refused_in_child("sample", "--n", "20", "--seed", "3", path)
 
+    def test_fixed_point_exponent_past_the_float_range(self, tmp_path):
+        # t^q = A t cannot be iterated in floats once q is past 2**1024
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"m": 2, "matrix": GOLDEN, "p": 1, "q": 10**400, "a": 0, "b": 0}))
+        for kind in ("hausdorff", "both"):
+            assert_refused_in_child("dim", "--kind", kind, str(path))
+
+    @pytest.mark.parametrize("pqab", [(10**400, 2 * 10**400, 0, 0), (2 * 10**400, 4 * 10**400, 0, 1)],
+                             ids=["degenerate", "non-divisible"])
+    def test_p_past_the_float_range_reports_one(self, tmp_path, pqab):
+        # both closed forms are 1 - O(1/p), which rounds to 1.0
+        p, q, a, b = pqab
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"m": 2, "matrix": GOLDEN, "p": p, "q": q, "a": a, "b": b}))
+        proc = run_in_child("dim", "--kind", "both", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        results = json.loads(proc.stdout)["results"]
+        assert {kind: r["value"] for kind, r in results.items()} == {"hausdorff": 1.0, "minkowski": 1.0}
+
     def test_sample_prints_one_digit_per_letter_on_ten_letters(self, capsys, tmp_path):
         path = system_file(tmp_path, (1, 2, 0, 0), tuple((1,) * 10 for _ in range(10)))
         code, out, _ = run(capsys, "sample", "--n", "20", "--seed", "3", path)
@@ -174,13 +193,19 @@ class TestMalformedInput:
         assert len(out.splitlines()[0]) == 20
 
 
-def assert_refused_in_child(*argv):
-    """Exit 1 with an ``error:`` line, no traceback and no stdout, in a child
-    process, so that an escaping exception shows as a traceback."""
+def run_in_child(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a child process, so that an escaping exception shows as a
+    traceback."""
     env = dict(os.environ, PYTHONPATH=str(Path(affdim.__file__).parents[1]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "affdim.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def assert_refused_in_child(*argv):
+    """Exit 1 with an ``error:`` line, no traceback and no stdout, in a child
+    process."""
+    proc = run_in_child(*argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr

@@ -18,7 +18,7 @@ from affdim import (
     system_from_json_dict,
     validate_system,
 )
-from affdim.core import _matmul, truncation_index
+from affdim.core import _div_int, _matmul, truncation_index
 from conftest import FULL2, GOLDEN, PERIODIC, random_irreducible
 import random
 
@@ -222,6 +222,19 @@ class TestTruncationIndex:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="positive and finite"):
             truncation_index(self.tail, lambda i: 0.0, 1, 0.0)
+
+
+class TestDivInt:
+    @given(st.floats(-1e300, 1e300), st.integers(-(2**53), 2**53).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_float_division_where_it_is_defined(self, x, n):
+        assert _div_int(x, n) == x / n
+
+    def test_divisor_past_the_float_range(self):
+        with pytest.raises(OverflowError):
+            1.5 / (3 * 2**1030)
+        assert _div_int(1.5, 3 * 2**1030) == 2.0**-1031
+        assert _div_int(-0.8, 10**400) == 0.0
 
 
 class TestJson:

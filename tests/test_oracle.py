@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from affdim import InvalidSystemError, TransitionMatrix, chain_density, validate_system
 from affdim.minkowski import pattern_count_exact
 from affdim.oracle import (
+    _newton_direction,
+    _prefix_tree,
     admissible_words,
     brute_force_count,
     brute_force_counts_upto,
@@ -17,7 +20,53 @@ from affdim.oracle import (
     project_to_simplex,
     window_pairs,
 )
-from conftest import BATTERY, FULL2, GOLDEN, random_irreducible, sys_full, sys_golden
+from conftest import (
+    BATTERY, FULL2, GOLDEN, PERIODIC, random_binary_matrix, random_irreducible, sys_full, sys_golden,
+)
+
+
+def backward_optimum(weights, matrix) -> float:
+    """max sum_j w_j H_m(X_1..X_j) over admissible words, by backward
+    log-sum-exp.  By the chain rule the objective is
+    sum_l S_l H(X_l | X_<l) / ln m with S_l = w_l + ... + w_i, and the best
+    law of X_l given an admissible past depends only on X_{l-1}."""
+    S = [sum(weights[k:]) for k in range(len(weights))]
+    m = matrix.m
+    value = [0.0] * m  # best payoff of the letters after X_l = x, in nats
+    for l in range(len(weights) - 1, 0, -1):
+        totals = [sum(math.exp(value[y] / S[l]) for y in range(m) if matrix.rows[x][y])
+                  for x in range(m)]
+        value = [S[l] * math.log(t) if t else -math.inf for t in totals]  # -inf: a dead end
+    return S[0] * math.log(sum(math.exp(v / S[0]) for v in value)) / math.log(m)
+
+
+def stationarity_gap(mu, weights, words, m) -> float:
+    """max |project_to_simplex(mu + g) - mu| for the objective's gradient g,
+    from a prefix dictionary rather than the optimizer's tree."""
+    g = np.zeros(len(words))
+    for j, weight in enumerate(weights, start=1):
+        marg = {}
+        for word, p in zip(words, mu):
+            marg[word[:j]] = marg.get(word[:j], 0.0) + p
+        g += [weight * (-math.log(marg[word[:j]]) - 1.0) / math.log(m) for word in words]
+    return float(np.max(np.abs(project_to_simplex(mu + g) - mu)))
+
+
+@st.composite
+def irreducible_matrices(draw):
+    """Random irreducible binary matrices with m = 2..5: random at density
+    0.7, the same with a zero diagonal, or periodic."""
+    kind = draw(st.sampled_from(["random", "zero-diagonal", "periodic"]))
+    if kind == "periodic":
+        return TransitionMatrix.from_rows(draw(st.sampled_from(PERIODIC)))
+    m, rng = draw(st.integers(2, 5)), draw(st.randoms(use_true_random=False))
+    while True:
+        rows = random_binary_matrix(m, rng, density=0.7)
+        if kind == "zero-diagonal":
+            rows = [[0 if x == y else e for y, e in enumerate(row)] for x, row in enumerate(rows)]
+        matrix = TransitionMatrix.from_rows(rows)
+        if matrix.is_irreducible():
+            return matrix
 
 
 class TestBruteForce:
@@ -138,3 +187,55 @@ class TestEntropyMaximization:
             maximize_chain_entropy(2, [1.0], golden)
         with pytest.raises(ValueError):
             maximize_chain_entropy(2, [0.5, 0.0], golden)
+
+    @pytest.mark.parametrize("weights", [[10, 1e-4, 1e-4], [1e-4, 10, 10]])
+    def test_converges_on_badly_scaled_weights(self, golden, weights):
+        # projected-gradient ascent ran out of iterations on both
+        opt, mu, words = maximize_chain_entropy(3, weights, golden)
+        assert opt == pytest.approx(backward_optimum(weights, golden), abs=1e-9)
+        assert stationarity_gap(mu, weights, words, 2) <= 1e-7
+
+    @given(irreducible_matrices(), st.sampled_from([1, 2, 3, 4, 5]), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_optimum_matches_backward_recursion(self, matrix, i, rng):
+        weights = [10 ** rng.uniform(-4, 1) for _ in range(i)]
+        opt, mu, words = maximize_chain_entropy(i, weights, matrix)
+        assert words == admissible_words(matrix, i)
+        assert opt == pytest.approx(backward_optimum(weights, matrix), abs=1e-9)
+        assert np.all(mu >= 0)
+        assert math.isclose(mu.sum(), 1.0, abs_tol=1e-12)
+        assert stationarity_gap(mu, weights, words, matrix.m) <= 1e-7
+
+    def test_tree_solve_matches_dense_newton_system(self):
+        # K d = g - nu 1 with 1^T d = 0, K = sum_j c_j P_j^T diag(1/marg_j) P_j
+        rng = np.random.default_rng(5)
+        for rows in (GOLDEN, FULL2, PERIODIC[2], ((1, 1, 0), (0, 1, 1), (1, 1, 1))):
+            matrix = TransitionMatrix.from_rows(rows)
+            for i in (1, 2, 3, 4):
+                _, parents = _prefix_tree(matrix, i)
+                words = admissible_words(matrix, i)
+                c = 10 ** rng.uniform(-4, 1, size=i)
+                mu = rng.uniform(0.1, 1.0, size=len(words))
+                mu /= mu.sum()
+                g = rng.normal(size=len(words))
+                margs = [np.array([sum(p for w, p in zip(words, mu) if w[:j] == prefix)
+                                   for prefix in sorted({w[:j] for w in words})])
+                         for j in range(1, i + 1)]
+                K = np.zeros((len(words), len(words)))
+                for j in range(1, i + 1):
+                    P = np.array([[w[:j] == prefix for w in words]
+                                  for prefix in sorted({w[:j] for w in words})], dtype=float)
+                    K += c[j - 1] * P.T @ np.diag(1 / margs[j - 1]) @ P
+                kkt = np.block([[K, np.ones((len(words), 1))], [np.ones((1, len(words))), np.zeros((1, 1))]])
+                dense = np.linalg.solve(kkt, np.append(g, 0.0))[:-1]
+                assert np.allclose(_newton_direction(c, parents, margs, g), dense, rtol=1e-9, atol=1e-12)
+
+    def test_words_come_from_the_prefix_tree(self):
+        # a zero row leaves prefixes that no full-length word continues
+        matrix = TransitionMatrix.from_rows(((1, 1, 1), (0, 0, 0), (1, 0, 1)))
+        words = admissible_words(matrix, 3)
+        expected = [w for w in product(range(3), repeat=3)
+                    if all(matrix.rows[x][y] for x, y in zip(w, w[1:]))]
+        assert words == expected
+        opt, mu, _ = maximize_chain_entropy(3, [1.0, 1.0, 1.0], matrix)
+        assert opt == pytest.approx(backward_optimum([1.0, 1.0, 1.0], matrix), abs=1e-9)
