@@ -29,8 +29,8 @@ def _emit(payload: dict) -> None:
 def _config(args: argparse.Namespace, **extra) -> dict:
     cfg = {"version": __version__, "system": extra.pop("system_dict", None)}
     for key in ("kind", "tol", "n", "seed", "samples", "max_n", "format"):
-        if hasattr(args, key.replace("-", "_")):
-            cfg[key] = getattr(args, key.replace("-", "_"))
+        if hasattr(args, key):
+            cfg[key] = getattr(args, key)
     cfg.update(extra)
     return {k: v for k, v in cfg.items() if v is not None}
 

@@ -195,7 +195,6 @@ class TransitionMatrix:
 
 
 def _matmul(a, b):
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 

@@ -11,6 +11,7 @@ the small-window count gap.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -114,26 +115,12 @@ def projected_pair_matrix(hos: HigherOrderSystem) -> TransitionMatrix:
     """Pair matrix of the comparison baseline: (u, v) is forbidden exactly
     when every completion over the extra positions lies in the forbidden set."""
     m = hos.base.m
-    ell = hos.order
-    rows = []
-    for u in range(m):
-        row = []
-        for v in range(m):
-            if ell == 0:
-                allowed = (u, v) not in hos.forbidden
-            else:
-                completions = _all_words(m, ell)
-                allowed = any((u, v) + w not in hos.forbidden for w in completions)
-            row.append(1 if allowed else 0)
-        rows.append(row)
+    completions = list(itertools.product(range(m), repeat=hos.order))
+    rows = [
+        [1 if any((u, v) + w not in hos.forbidden for w in completions) else 0 for v in range(m)]
+        for u in range(m)
+    ]
     return TransitionMatrix.from_rows(rows)
-
-
-def _all_words(m: int, length: int) -> list[tuple[int, ...]]:
-    words = [()]
-    for _ in range(length):
-        words = [w + (v,) for w in words for v in range(m)]
-    return words
 
 
 def baseline_system(hos: HigherOrderSystem) -> AffineSystem:

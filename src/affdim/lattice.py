@@ -86,18 +86,10 @@ class ChainDecomposition:
     chains: tuple[Chain, ...]
 
     def census(self) -> "Census":
-        L: dict[tuple[int, int], int] = {}
-        D: dict[int, int] = {}
-        truncated: dict[int, int] = {}
-        for ch in self.chains:
-            j = ch.window_count
-            D[j] = D.get(j, 0) + 1
-            if ch.truncated:
-                truncated[j] = truncated.get(j, 0) + 1
-            else:
-                key = (ch.full_length, j)
-                L[key] = L.get(key, 0) + 1
-        return Census(n=self.n, L=L, D=D, truncated=truncated)
+        return _tally(
+            self.n,
+            ((0 if ch.truncated else ch.full_length, ch.window_count, 1) for ch in self.chains),
+        )
 
 
 @dataclass(frozen=True)
@@ -114,6 +106,21 @@ class Census:
 
     def window_total(self) -> int:
         return sum(j * cnt for j, cnt in self.D.items())
+
+
+def _tally(n: int, counted) -> Census:
+    """Census from (full length, or 0 for an infinite orbit; window length;
+    count) triples."""
+    L: dict[tuple[int, int], int] = {}
+    D: dict[int, int] = {}
+    truncated: dict[int, int] = {}
+    for i, j, c in counted:
+        D[j] = D.get(j, 0) + c
+        if i == 0:
+            truncated[j] = truncated.get(j, 0) + c
+        else:
+            L[(i, j)] = L.get((i, j), 0) + c
+    return Census(n=n, L=L, D=D, truncated=truncated)
 
 
 def _infinite_orbits(sys: AffineSystem) -> bool:
@@ -284,19 +291,8 @@ def empirical_census(n: int, sys: AffineSystem) -> Census:
     stride = int(walk.window.max()) + 1
     keys = np.where(walk.truncated, 0, walk.full_length) * stride + walk.window
     counts = np.bincount(keys)
-
-    L: dict[tuple[int, int], int] = {}
-    D: dict[int, int] = {}
-    truncated: dict[int, int] = {}
-    for key in np.nonzero(counts)[0]:
-        i, j = divmod(int(key), stride)
-        c = int(counts[key])
-        D[j] = D.get(j, 0) + c
-        if i == 0:
-            truncated[j] = truncated.get(j, 0) + c
-        else:
-            L[(i, j)] = L.get((i, j), 0) + c
-    return Census(n=n, L=L, D=D, truncated=truncated)
+    keyed = (divmod(int(key), stride) + (int(counts[key]),) for key in np.nonzero(counts)[0])
+    return _tally(n, keyed)
 
 
 def window_counts(n: int, sys: AffineSystem) -> dict[int, int]:

@@ -36,7 +36,6 @@ class ChainMeasure:
     length: int | None
     first: tuple[float, ...]
     transitions: tuple[tuple[tuple[float, ...], ...], ...]
-    stationary: bool = False
 
     @property
     def m(self) -> int:
@@ -44,15 +43,15 @@ class ChainMeasure:
 
     def transition(self, level: int) -> tuple[tuple[float, ...], ...]:
         """Rows of the transition law from letters at ``level`` (1-based)."""
-        if self.stationary:
+        if self.length is None:
             return self.transitions[0]
-        if not 1 <= level < (self.length or 1):
+        if not 1 <= level < self.length:
             raise ValueError(f"no transition at level {level} for length {self.length}")
         return self.transitions[level - 1]
 
     def word_probability(self, word) -> float:
         """Probability of observing ``word`` as the first letters of a chain."""
-        if not self.stationary and len(word) > (self.length or 1):
+        if self.length is not None and len(word) > self.length:
             raise ValueError(
                 f"word of length {len(word)} exceeds chain length {self.length}"
             )
@@ -124,9 +123,7 @@ def stationary_chain_measure(sys: AffineSystem) -> ChainMeasure:
             "stationary chain measure requires infinite chains (p1 = 1)"
         )
     t = power_fixed_point(sys.matrix, sys.q1).values
-    return ChainMeasure(
-        length=None, first=_normalized(t), transitions=(_row_laws(sys, t),), stationary=True
-    )
+    return ChainMeasure(length=None, first=_normalized(t), transitions=(_row_laws(sys, t),))
 
 
 class PrefixMeasure:

@@ -2,7 +2,9 @@
 
 ``brute_force_count`` counts admissible window patterns straight from the
 raw pairwise (and optional higher-order) constraints, never touching the
-chain decomposition or power-sum formulas it is used to check.
+chain decomposition or power-sum formulas it is used to check.  Every
+constraint is a forbidden-word set over its positions; a pair (u, v) forbids
+the words (x, y) with A[x][y] = 0.
 ``maximize_chain_entropy`` numerically maximizes weighted marginal entropies
 over the probability simplex on admissible words, by damped Newton steps
 whose linear systems are solved exactly along the words' prefix tree.  It
@@ -76,6 +78,10 @@ def brute_force_count(
     """Exact count of words on {1, ..., n} satisfying every pairwise
     constraint and every fully-in-window extra constraint.
 
+    Each constraint is checked at its latest position t: the letters at its
+    earlier positions look up the letters it bans at t, once per partial
+    word, and only the letters left are tried.
+
     ``method``: "frontier" streams position by position remembering only the
     letters still awaited by a future constraint (a memoized depth-first
     search); "dfs" is the plain recursive enumeration with early pruning.
@@ -110,15 +116,27 @@ def brute_force_counts_upto(
 
 
 def _build_constraints(n: int, sys: AffineSystem, extras: list[Constraint]):
-    """Schedule all constraints by their latest position; each entry is
-    (positions, data, is_pair) with matrix rows for pairs and a forbidden
-    word set otherwise."""
-    by_max: dict[int, list[tuple[tuple[int, ...], object, bool]]] = {}
+    """Schedule every constraint at its latest position t as (others, banned).
+
+    A pair (u, v) forbids the words {(x, y) : A[x][y] = 0}; an extra
+    constraint keeps its own forbidden set.  ``others`` lists the distinct
+    positions of the constraint before t, and ``banned`` maps their letters
+    to the letters at t that complete a forbidden word.  A position repeated
+    in the constraint (u = v, or an extra such as (1, 1)) is resolved here:
+    a word giving it two letters never occurs and bans nothing."""
     rows = sys.matrix.rows
-    for u, v in window_pairs(n, sys):
-        by_max.setdefault(max(u, v), []).append(((u, v), rows, True))
-    for pos, words in extras:
-        by_max.setdefault(max(pos), []).append((pos, words, False))
+    pair_words = [(x, y) for x in range(sys.m) for y in range(sys.m) if not rows[x][y]]
+    constraints = [((u, v), pair_words) for u, v in window_pairs(n, sys)] + extras
+    by_max: dict[int, list[tuple[tuple[int, ...], dict]]] = {}
+    for pos, words in constraints:
+        t = max(pos)
+        others = tuple(sorted(set(pos) - {t}))
+        banned: dict[tuple[int, ...], set[int]] = {}
+        for word in words:
+            letters: dict[int, int] = {}
+            if all(letters.setdefault(u, x) == x for u, x in zip(pos, word)):
+                banned.setdefault(tuple(letters[u] for u in others), set()).add(letters[t])
+        by_max.setdefault(t, []).append((others, banned))
     return by_max
 
 
@@ -128,22 +146,19 @@ def _frontier_counts(n: int, sys: AffineSystem, extras: list[Constraint]) -> lis
 
     need_until = {}
     for t, cons in by_max.items():
-        for pos, _, _ in cons:
-            for u in pos:
-                if u < t:
-                    need_until[u] = max(need_until.get(u, 0), t)
+        for others, _ in cons:
+            for u in others:
+                need_until[u] = max(need_until.get(u, 0), t)
 
     # frontier after step t = positions <= t still awaited by a later check
     frontier: list[int] = []
     frontiers: list[list[int]] = []
-    widths = []
     for t in range(1, n + 1):
         frontier = [u for u in frontier if need_until[u] > t]
         if need_until.get(t, 0) > t:
             frontier.append(t)
-        frontiers.append(list(frontier))
-        widths.append(len(frontier))
-    max_width = max(widths, default=0)
+        frontiers.append(frontier)
+    max_width = max(map(len, frontiers))
     if (m ** (max_width + 1)) * n > STATE_BUDGET:
         raise InvalidSystemError(
             f"window too large: frontier needs m^{max_width + 1} states over {n} steps"
@@ -154,36 +169,26 @@ def _frontier_counts(n: int, sys: AffineSystem, extras: list[Constraint]) -> lis
     counts = []
     for t in range(1, n + 1):
         prev_index = {u: i for i, u in enumerate(prev_frontier)}
-        checks = []
-        for pos, data, is_pair in by_max.get(t, ()):  # other members sit in the frontier
-            idx = tuple(-1 if u == t else prev_index[u] for u in pos)
-            checks.append((idx, data, is_pair))
+        # the earlier members of each check sit in the frontier
+        checks = [
+            (tuple(prev_index[u] for u in others), banned) for others, banned in by_max.get(t, ())
+        ]
         cur_frontier = frontiers[t - 1]
         keep = [prev_index[u] for u in cur_frontier if u != t]
         append_new = cur_frontier and cur_frontier[-1] == t
         new_states: dict[tuple[int, ...], int] = {}
         for state, cnt in states.items():
-            for letter in range(m):
-                ok = True
-                for idx, data, is_pair in checks:
-                    if is_pair:
-                        iu, iv = idx
-                        lu = letter if iu < 0 else state[iu]
-                        lv = letter if iv < 0 else state[iv]
-                        if not data[lu][lv]:
-                            ok = False
-                            break
-                    else:
-                        word = tuple(letter if i < 0 else state[i] for i in idx)
-                        if word in data:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                key = tuple(state[i] for i in keep)
-                if append_new:
-                    key = key + (letter,)
-                new_states[key] = new_states.get(key, 0) + cnt
+            bad = set()
+            for idx, banned in checks:
+                bad.update(banned.get(tuple(state[i] for i in idx), ()))
+            key = tuple(state[i] for i in keep)
+            if append_new:
+                for letter in range(m):
+                    if letter not in bad:
+                        new_key = key + (letter,)
+                        new_states[new_key] = new_states.get(new_key, 0) + cnt
+            elif len(bad) < m:  # a letter nothing awaits: all allowed ones reach one state
+                new_states[key] = new_states.get(key, 0) + cnt * (m - len(bad))
         states = new_states
         prev_frontier = cur_frontier
         counts.append(sum(states.values()))
@@ -195,31 +200,23 @@ def _dfs_count(n: int, sys: AffineSystem, extras: list[Constraint]) -> int:
     if m**n > DFS_BUDGET:
         raise InvalidSystemError(f"window too large for depth-first search: m^n = {m}^{n}")
     by_max = _build_constraints(n, sys, extras)
-    checks_at = []
-    for t in range(1, n + 1):
-        comp = []
-        for pos, data, is_pair in by_max.get(t, ()):
-            comp.append((tuple(u - 1 for u in pos), data, is_pair))
-        checks_at.append(comp)
+    checks_at = [
+        [(tuple(u - 1 for u in others), banned) for others, banned in by_max.get(t, ())]
+        for t in range(1, n + 1)
+    ]
 
     word = [0] * n
 
     def rec(t: int) -> int:
         if t == n:
             return 1
+        bad = set()
+        for pos0, banned in checks_at[t]:
+            bad.update(banned.get(tuple(word[i] for i in pos0), ()))
         total = 0
         for letter in range(m):
-            word[t] = letter
-            ok = True
-            for pos0, data, is_pair in checks_at[t]:
-                if is_pair:
-                    if not data[word[pos0[0]]][word[pos0[1]]]:
-                        ok = False
-                        break
-                elif tuple(word[i] for i in pos0) in data:
-                    ok = False
-                    break
-            if ok:
+            if letter not in bad:
+                word[t] = letter
                 total += rec(t + 1)
         return total
 

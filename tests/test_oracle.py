@@ -149,6 +149,43 @@ class TestBruteForce:
         n = rng.randint(1, 12)
         assert brute_force_count(n, s).count == pattern_count_exact(n, s)
 
+    def test_matches_product_count_with_decreasing_pairs_and_extras(self):
+        """Both methods and the running counts against a check of every one
+        of the m^n words, on systems with a > b allowed (so pairs with u > v
+        and u = v occur) and extra constraints that repeat positions or stick
+        out of the window."""
+
+        def product_count(t, s, extras):
+            pairs = window_pairs(t, s)
+            inside = [(pos, words) for pos, words in extras if max(pos) <= t]
+            return sum(
+                all(s.matrix.rows[w[u - 1]][w[v - 1]] for u, v in pairs)
+                and all(tuple(w[u - 1] for u in pos) not in words for pos, words in inside)
+                for w in product(range(s.m), repeat=t)
+            )
+
+        rng = random.Random(20240613)
+        shapes = set()
+        for _ in range(120):
+            m = rng.randint(2, 3)
+            p = rng.randint(1, 3)
+            s = validate_system(p, rng.randint(p + 1, 5), rng.randint(-2, 5), rng.randint(-2, 5),
+                                random_irreducible(m, rng))
+            n = rng.randint(1, 9)
+            extras = []
+            for _ in range(rng.randint(0, 3)):
+                pos = tuple(rng.randint(1, n + 1) for _ in range(rng.randint(1, 3)))
+                words = {tuple(rng.randrange(m) for _ in pos) for _ in range(rng.randint(0, 4))}
+                extras.append((pos, words))
+            shapes.update("u>v" if u > v else "u=v" if u == v else "u<v" for u, v in window_pairs(n, s))
+            shapes.update("repeat" for pos, _ in extras if len(set(pos)) < len(pos))
+            shapes.update("outside" for pos, _ in extras if max(pos) > n)
+            expected = [product_count(t, s, extras) for t in range(1, n + 1)]
+            for method in ("frontier", "dfs"):
+                assert brute_force_count(n, s, extras, method=method).count == expected[-1]
+            assert brute_force_counts_upto(n, s, extras) == expected
+        assert shapes == {"u>v", "u=v", "u<v", "repeat", "outside"}
+
 
 class TestSimplexProjection:
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=12))
