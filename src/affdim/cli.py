@@ -158,7 +158,7 @@ def cmd_sample(args) -> None:
         )
     pm = measures.PrefixMeasure(system, args.n)
     letters, neg_log2 = pm.sample(np.random.default_rng(args.seed))
-    print("".join(str(int(v)) for v in letters))
+    print((letters + ord("0")).astype(np.uint8).tobytes().decode())  # m <= 10: one digit each
     _emit(
         {
             "command": "sample",

@@ -42,43 +42,34 @@ def check_tolerance(tol: float) -> None:
 
 
 def truncation_index(
-    tail: Callable[[int], Fraction],
-    log_tail: Callable[[int], float],
-    start: int,
-    tol: float,
-) -> tuple[int, Fraction]:
-    """(N, tail(N)) for the smallest N >= start with tail(N) <= tol, where
-    ``tail`` is an exact, strictly decreasing series tail bound and
-    ``log_tail`` its natural log in floats.
+    tail: Callable[[int], tuple[int, int]], start: int, tol: float
+) -> tuple[int, tuple[int, int]]:
+    """(N, tail(N)) for the smallest N >= start with tail(N) <= tol.
 
-    N is first located by a galloping search on ``log_tail`` against ln(tol),
-    in log space because tail/tol overflows for a subnormal tol.  It is then
-    confirmed with the exact comparisons tail(N) <= tol and, unless
-    N == start, tail(N - 1) > tol, stepping N until both hold.  So N is the
-    index at which a per-term scan from ``start`` would stop, at the price of
-    about two exact tails.
+    ``tail(i)`` is an exact, strictly decreasing series tail bound given as a
+    pair (num, den) of positive ints.  With tol = t_num / t_den exactly, the
+    test num * t_den <= t_num * den is exact and monotone in i, subnormal
+    tolerances included, so a galloping search from ``start`` and a bisection
+    find the N at which a per-term scan would stop.  Report the bound as
+    ``num / den``, which is correctly rounded.
     """
     check_tolerance(tol)
-    log_tol = math.log(tol)
-    above, N = start - 1, start   # log_tail(above) > log_tol unless above < start
-    while log_tail(N) > log_tol:
+    t_num, t_den = tol.as_integer_ratio()
+
+    def meets(i: int) -> bool:
+        num, den = tail(i)
+        return num * t_den <= t_num * den
+
+    above, N = start - 1, start   # tail(above) > tol unless above < start
+    while not meets(N):
         above, N = N, 2 * N - start + 1
     while N - above > 1:
         mid = (above + N) // 2
-        if log_tail(mid) > log_tol:
-            above = mid
-        else:
+        if meets(mid):
             N = mid
-    value = tail(N)
-    while not value <= tol:
-        N += 1
-        value = tail(N)
-    while N > start:
-        before = tail(N - 1)
-        if before > tol:
-            break
-        N, value = N - 1, before
-    return N, value
+        else:
+            above = mid
+    return N, tail(N)
 
 
 def _div_int(x: float, n: int) -> float:

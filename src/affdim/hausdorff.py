@@ -24,7 +24,7 @@ from .core import (
     truncation_index,
 )
 from . import minkowski
-from .lattice import chain_density, orbit_density, weighted_extra_census_tail
+from .lattice import _extra_census_tail, chain_density
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,6 @@ class FixedPointVector:
     exponent: int
     residual: float
     iterations: int
-
-    @property
-    def total(self) -> float:
-        return sum(self.values)
 
 
 def _levels(matrix: TransitionMatrix, r: float):
@@ -101,7 +97,7 @@ def power_fixed_point(
 def _ratio_dimension(matrix: TransitionMatrix, q: int, tol: float) -> tuple[float, FixedPointVector]:
     """((q-1)/q) log_m(sum_i t_i) for the fixed point t^q = A t, and that point."""
     fp = power_fixed_point(matrix, q, tol=min(tol, 1e-12))
-    return (q - 1) / q * math.log2(fp.total) / math.log2(matrix.m), fp
+    return (q - 1) / q * math.log2(sum(fp.values)) / math.log2(matrix.m), fp
 
 
 def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
@@ -217,18 +213,6 @@ def chain_potential(i: int, sys: AffineSystem) -> ChainPotential:
     )
 
 
-def _log_census_tail(upto_i: int, sys: AffineSystem) -> float:
-    """ln weighted_extra_census_tail(upto_i, sys) in floats.  With r = p1/q1
-    that tail is s * ((2 - r) - (p1-1)/(q1-1) * r^upto_i) / (1 - r), where
-    s = (q1-1) / (p * q1 * p1^(upto_i-1)) is the sum of the omitted rho_i."""
-    p, p1, q1 = sys.p, sys.p1, sys.q1
-    r = p1 / q1
-    return (
-        math.log(q1 - 1) - math.log(p * q1) - (upto_i - 1) * math.log(p1) - math.log(1 - r)
-        + math.log(2 - r - (p1 - 1) / (q1 - 1) * r**upto_i)
-    )
-
-
 def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
     """Series of weighted chain-potential logs for the divisible-general case.
 
@@ -250,28 +234,30 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     depend on i.  Hence Phi_i = sum_x F^(i-2)(row sums)_x^r, and each term
     costs one level of ``_levels``, whose m powers also give Phi_i.  The floats
     are the same operations in the same order as in ``chain_potential``
-    (each power is taken once and reused), so every contribution equals
+    (each power is taken once and reused), and r = p1 / q1 and rho_i are
+    correctly rounded integer quotients, so every contribution equals
     ``chain_potential(i).value`` and ``float(chain_potential(i).weight())``
     exactly.
 
     Truncated at the first N whose exact tail bound
     sum_{i>N} sum_j (j+1) * density is <= tol (each omitted term is at most
-    that row sum); ``core.truncation_index`` finds N before the sum starts.
+    that row sum); ``core.truncation_index`` finds N on the integer pair of
+    ``lattice._extra_census_tail`` before the sum starts.
     """
     if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
         raise InvalidSystemError(
             f"divisible-general series called on {sys.case_tag.value} system; "
             "degenerate systems use the sublattice reduction"
         )
-    N, tail = truncation_index(
-        lambda i: weighted_extra_census_tail(i, sys), lambda i: _log_census_tail(i, sys), 2, tol
-    )
+    N, (tail_num, tail_den) = truncation_index(lambda i: _extra_census_tail(i, sys), 2, tol)
     log2_m = math.log2(sys.m)
     total = float(chain_density(1, 1, sys))
     contributions = []
-    for i, powered in zip(range(2, N + 1), _levels(sys.matrix, float(Fraction(sys.p1, sys.q1)))):
+    rho_num, rho_den = (sys.q1 - 1) * (sys.p1 - 1), sys.p * sys.q1
+    for i, powered in zip(range(2, N + 1), _levels(sys.matrix, sys.p1 / sys.q1)):
         t_phi = sum(powered)
-        weight = float(orbit_density(i, sys))
+        rho_den *= sys.p1
+        weight = rho_num / rho_den
         term = weight * (math.log2(t_phi) / log2_m)
         total += term
         contributions.append(
@@ -282,7 +268,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         kind="hausdorff",
         case_tag=sys.case_tag,
         truncation_index=N,
-        tail_bound=float(tail),
+        tail_bound=tail_num / tail_den,
         tolerance=tol,
         contributions=tuple(contributions),
     )

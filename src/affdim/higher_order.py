@@ -15,6 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import AffineSystem, InvalidSystemError, TransitionMatrix, validate_system
@@ -35,8 +36,9 @@ class GrowthMap:
                 f"growth exponent must exceed 1, got {self.exponent} for {self.label}"
             )
         # Numerical check of the declared order: f(k)/k^s bounded above and
-        # below by positive constants on a sparse grid up to 10^6, and f
-        # strictly increasing with f(k) >= k on the dense low range.
+        # below by positive constants on a sparse grid up to 10^6, compared
+        # as logs since k^s leaves the float range there from s = 52 on; and
+        # f strictly increasing with f(k) >= k on the dense low range.
         prev = 0
         for k in range(1, 200):
             v = self.fn(k)
@@ -45,11 +47,15 @@ class GrowthMap:
             if v < k:
                 raise InvalidSystemError(f"{self.label} must satisfy f(k) >= k, got f({k})={v}")
             prev = v
-        ratios = [self.fn(k) / k**self.exponent for k in (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000)]
-        if min(ratios) <= 0 or max(ratios) / min(ratios) > 1e6:
+        grid = (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
+        values = [self.fn(k) for k in grid]
+        if min(values) <= 0:
+            raise InvalidSystemError(f"{self.label} must stay positive, got {min(values)}")
+        logs = [math.log(v) - self.exponent * math.log(k) for k, v in zip(grid, values)]
+        if max(logs) - min(logs) > math.log(1e6):
             raise InvalidSystemError(
                 f"{self.label} does not look like order k^{self.exponent}: "
-                f"ratio range {min(ratios):.3g}..{max(ratios):.3g}"
+                f"log ratio range {min(logs):.3g}..{max(logs):.3g}"
             )
 
     def count_upto(self, n: int) -> int:
@@ -68,6 +74,14 @@ class GrowthMap:
         return lo
 
 
+def _ceil_power(k: int, e: float) -> int:
+    """ceil(k^e), with k^e past the float range taken as k^int(e) * k^(e % 1)."""
+    try:
+        return math.ceil(k**e)
+    except OverflowError:
+        return math.ceil(Fraction(k ** (e % 1)) * k ** int(e))
+
+
 _POWER_RE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?k\s*\^\s*(\d+(?:\.\d+)?)\s*$")
 
 
@@ -84,7 +98,7 @@ def parse_growth(text: str) -> GrowthMap:
         exp_i = int(exponent)
         fn = lambda k, c=coeff, e=exp_i: c * k**e  # noqa: E731 - exact integers
     else:
-        fn = lambda k, c=coeff, e=exponent: c * math.ceil(k**e)  # noqa: E731
+        fn = lambda k, c=coeff, e=exponent: c * _ceil_power(k, e)  # noqa: E731
     return GrowthMap(fn=fn, exponent=exponent, label=text.strip())
 
 

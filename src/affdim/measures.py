@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .core import AffineSystem, CaseTag, InvalidSystemError
@@ -107,7 +106,7 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
         )
     if i < 1:
         raise ValueError(f"chain measure is defined for lengths >= 1, got {i}")
-    powered = list(islice(_levels(sys.matrix, float(Fraction(sys.p1, sys.q1))), i - 1))
+    powered = list(islice(_levels(sys.matrix, sys.p1 / sys.q1), i - 1))
     return ChainMeasure(
         length=i,
         first=_normalized(powered[-1]),

@@ -48,38 +48,38 @@ class SeriesEvaluation:
     rounding_bound: float = 0.0
 
 
+def _series_tail(upto_i: int, q1: int, d: int) -> tuple[int, int]:
+    """series_tail_bound(upto_i, q1, d) as a pair (num, den) of positive ints.
+    With log_m |A^{i-1}| <= i + 1, the arithmetic-geometric sum
+    ((q1-1)^2/d) * sum_{i > N} (i + 1) / q1^(i+1) is
+    ((q1-1)*N + 2*q1 - 1) / (d * q1^(N+1)) for N = upto_i."""
+    return (q1 - 1) * upto_i + 2 * q1 - 1, d * q1 ** (upto_i + 1)
+
+
 def series_tail_bound(upto_i: int, q1: int, d: int) -> Fraction:
     """Exact bound on ((q1-1)^2/d) * sum_{i > upto_i} log_m |A^{i-1}| / q1^{i+1}."""
-    N = upto_i
-    if N < 1:
+    if upto_i < 1:
         raise ValueError("truncation index must be >= 1")
-    return Fraction(1, d) * Fraction(1, q1**N) * ((N + 2) - Fraction(N + 1, q1))
-
-
-def _log_series_tail(upto_i: int, q1: int, d: int) -> float:
-    """ln series_tail_bound(upto_i, q1, d) in floats: that bound is
-    ((q1-1)*upto_i + 2*q1 - 1) / (d * q1^(upto_i+1))."""
-    return math.log((q1 - 1) * upto_i + 2 * q1 - 1) - math.log(d) - (upto_i + 1) * math.log(q1)
+    return Fraction(*_series_tail(upto_i, q1, d))
 
 
 def _series_terms(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int):
     """Float terms of ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1}
-    up to the first i whose tail bound is <= tol.  Returns (terms, N, tail_bound).
+    up to the first i whose tail bound is <= tol.  Returns (terms, N, tail_bound)
+    with the bound as a float.
 
     Each weight (q1-1)^2 / (d q1^(i+1)) is one correctly rounded quotient of
     exact integers.  It is at most 1, so it cannot overflow, even for q1 or d
     past the float range, and far out it underflows to a subnormal or zero.
     """
-    N, tail = truncation_index(
-        lambda i: series_tail_bound(i, q1, d), lambda i: _log_series_tail(i, q1, d), first_i, tol
-    )
+    N, (tail_num, tail_den) = truncation_index(lambda i: _series_tail(i, q1, d), first_i, tol)
     ln_m = math.log(matrix.m)
     num, den = (q1 - 1) ** 2, d * q1**first_i
     terms = []
     for i in range(first_i, N + 1):
         den *= q1
         terms.append(math.log(matrix.power_sum(i - 1)) / ln_m * (num / den))
-    return terms, N, tail
+    return terms, N, tail_num / tail_den
 
 
 def _rounding_bound(value: float, const: float, partial: float, N: int) -> float:
@@ -127,7 +127,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     if not sys.divisible:
         raise InvalidSystemError("divisible formula called on a non-divisible system")
     d, q1 = sys.d, sys.q1
-    const = float(1 - Fraction(2 * q1 - 1, d * q1**2))
+    const = (d * q1**2 - 2 * q1 + 1) / (d * q1**2)
     terms, N, tail = _series_terms(sys.matrix, q1, d, tol, first_i=2)
     value = math.fsum([const, *terms])
     return DimensionReport(
@@ -135,7 +135,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         kind="minkowski",
         case_tag=sys.case_tag,
         truncation_index=N,
-        tail_bound=float(tail),
+        tail_bound=tail,
         tolerance=tol,
         rounding_bound=_rounding_bound(value, const, math.fsum(terms), N),
     )
@@ -152,7 +152,7 @@ def dimension_classical(q: int, matrix: TransitionMatrix, tol: float = 1e-8) -> 
         kind="minkowski",
         case_tag=CaseTag.CLASSICAL,
         truncation_index=N,
-        tail_bound=float(tail),
+        tail_bound=tail,
         tolerance=tol,
         rounding_bound=_rounding_bound(value, 0.0, value, N),
     )
@@ -175,7 +175,7 @@ def series_evaluation(sys: AffineSystem, tol: float = 1e-8) -> SeriesEvaluation:
     return SeriesEvaluation(
         partial_sum=partial,
         terms_used=N,
-        tail_bound=float(tail),
+        tail_bound=tail,
         log_base=sys.m,
         rounding_bound=_rounding_bound(partial, 0.0, partial, N),
     )

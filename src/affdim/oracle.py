@@ -26,6 +26,9 @@ STATE_BUDGET = 1 << 28
 #: cap on m^n for the plain depth-first method.
 DFS_BUDGET = 1 << 26
 
+#: cap on the Newton steps of ``maximize_chain_entropy``.
+NEWTON_STEP_BUDGET = 200_000
+
 Constraint = tuple[tuple[int, ...], frozenset[tuple[int, ...]]]
 
 
@@ -311,7 +314,6 @@ def maximize_chain_entropy(
     weights: Sequence,
     matrix: TransitionMatrix,
     tol: float = 1e-7,
-    max_iterations: int = 200_000,
 ) -> tuple[float, np.ndarray, list[tuple[int, ...]]]:
     """Maximize f(mu) = sum_j weights[j-1] * H_m(j-th marginal) over
     distributions mu on the admissible words of length i.
@@ -374,7 +376,7 @@ def maximize_chain_entropy(
     margs = marginals(mu)
     f = objective(margs)
     g = gradient(margs)
-    for _ in range(max_iterations):
+    for _ in range(NEWTON_STEP_BUDGET):
         if np.max(np.abs(project_to_simplex(mu + g) - mu)) <= tol:
             return f, mu, words
         d = _newton_direction(c, parents, margs, g)

@@ -447,6 +447,16 @@ class TestHigherOrderCommand:
         assert last[3] == ""  # enumeration infeasible at 1e6
         assert float(last[2]) < float(lines[3].split(",")[2])
 
+    @pytest.mark.parametrize("growth", ["k^52", "k^320", "k^1000", "2*k^52.5"])
+    def test_exponent_past_the_float_range_in_child(self, golden_23, tmp_path, growth):
+        # f(10^6) / 10^(6 s) overflowed floats from s = 52 on
+        words = tmp_path / "words.json"
+        words.write_text(json.dumps({"words": ["111"]}))
+        proc = run_in_child("higher-order", "--f", growth, "--forbidden", str(words),
+                            "--n-grid", "16,64", golden_23)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout.splitlines()[1] == "n,measured,bound,empirical_gap"
+
 
 class TestRepeatedCalls:
     def test_calls_in_one_process_repeat_their_output(self, capsys, golden_12, golden_23, tmp_path):

@@ -1,5 +1,4 @@
 import json
-import math
 import sys
 import threading
 from fractions import Fraction
@@ -204,24 +203,28 @@ class TestPowerSums:
 
 
 class TestTruncationIndex:
-    @staticmethod
-    def tail(i):
-        return Fraction(3, 2**i)
+    TAILS = {
+        "halving": lambda i: (3, 2**i),
+        # numerator and denominator past the float range, quotient inside it
+        "huge_pair": lambda i: (3 * 10**400, 2**i * 10**400),
+        # the quotient itself starts past the float range
+        "huge_value": lambda i: (10**400, 3**i),
+        # the quotient ends below the smallest subnormal
+        "tiny_value": lambda i: (1, 10 ** (300 + i)),
+    }
 
-    @pytest.mark.parametrize("error", [-5.0, -0.3, 0.0, 0.3, 5.0])
+    @pytest.mark.parametrize(("name", "start"), [("halving", 1), ("halving", 2), ("huge_pair", 1),
+                                                 ("huge_value", 1), ("tiny_value", 2)])
     @pytest.mark.parametrize("tol", [1.0, 0.75, 0.7, 3 / 2**30, 1e-300, 5e-324])
-    def test_exact_answer_from_an_inexact_estimate(self, tol, error):
-        # the float estimate is off by a constant; the exact steps correct it
-        def log_tail(i):
-            return math.log(3) - i * math.log(2) + error
-
-        N, value = truncation_index(self.tail, log_tail, 1, tol)
-        expected = next(i for i in range(1, 2000) if self.tail(i) <= tol)
-        assert (N, value) == (expected, self.tail(expected))
+    def test_first_index_of_a_per_term_scan(self, name, start, tol):
+        tail = self.TAILS[name]
+        N, pair = truncation_index(tail, start, tol)
+        expected = next(i for i in range(start, 4000) if Fraction(*tail(i)) <= tol)
+        assert (N, pair) == (expected, tail(expected))
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="positive and finite"):
-            truncation_index(self.tail, lambda i: 0.0, 1, 0.0)
+            truncation_index(self.TAILS["halving"], 1, 0.0)
 
 
 class TestDivInt:

@@ -45,6 +45,20 @@ class TestGrowthMap:
         with pytest.raises(InvalidSystemError, match="increasing"):
             GrowthMap(fn=lambda k: 10, exponent=2.0, label="const")
 
+    @pytest.mark.parametrize("text", ["k^52", "k^320", "k^1000", "2*k^52.5"])
+    def test_exponent_past_the_float_range(self, text):
+        # k^s at k = 10^6 leaves the float range from s = 52 on
+        g = parse_growth(text)
+        for n in (10, 10**60, 10**100):
+            assert g.count_upto(n) == sum(1 for k in range(1, 200) if g.fn(k) <= n)
+        assert g.fn(10**6) >= 10**312
+
+    def test_rejects_wrong_order_past_the_float_range(self):
+        with pytest.raises(InvalidSystemError, match="does not look like order k\\^60"):
+            GrowthMap(fn=lambda k: k**61, exponent=60.0, label="k^61")
+        with pytest.raises(InvalidSystemError, match="does not look like order k\\^2.0"):
+            GrowthMap(fn=lambda k: k**4, exponent=2.0, label="k^4")
+
     def test_count_upto(self):
         g = parse_growth("k^2")
         assert g.count_upto(16) == 4

@@ -27,6 +27,7 @@ from affdim.lattice import (
     orbit_density,
     orbit_lengths,
     weighted_census_tail,
+    weighted_extra_census_tail,
     window_counts,
 )
 from affdim.measures import PrefixMeasure
@@ -300,6 +301,23 @@ class TestDensities:
             )
             assert partial + weighted_census_tail(J, s) == 1
         assert weighted_census_tail(40, s) <= Fraction(1, 10**9)
+
+    @pytest.mark.parametrize("pqab", [(2, 3, 0, 0), (4, 6, 1, 3), (3, 5, 1, 2), (6, 9, 2, 5), (2, 7, 0, 0)])
+    def test_weighted_extra_tail_telescopes_exactly(self, pqab):
+        s = sys_golden(*pqab)
+        for N in (1, 2, 5, 17):
+            for K in (1, 3, 12):
+                rows = sum(
+                    (j + 1) * chain_density(i, j, s)
+                    for i in range(N + 1, N + K + 1)
+                    for j in range(1, i + 1)
+                )
+                assert weighted_extra_census_tail(N, s) - weighted_extra_census_tail(N + K, s) == rows
+        assert weighted_extra_census_tail(60, s) < Fraction(1, 10**9)
+        with pytest.raises(ValueError):
+            weighted_extra_census_tail(0, s)
+        with pytest.raises(InvalidSystemError):
+            weighted_extra_census_tail(2, sys_golden(2, 4, 0, 0))
 
     def test_densities_in_unit_interval(self):
         s = sys_golden(4, 6, 1, 3)

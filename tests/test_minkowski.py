@@ -103,6 +103,16 @@ class TestSeries:
             for N in range(1, 40, 3):
                 assert series_tail_bound(N + 5, q1, d) < series_tail_bound(N, q1, d)
 
+    def test_tail_bound_is_the_three_fraction_expression(self):
+        # the closed form the pair replaced, q1 and d far past the float range
+        for q1 in (2, 3, 10**400):
+            for d in (1, 7, 10**400):
+                for N in range(1, 61):
+                    old = Fraction(1, d) * Fraction(1, q1**N) * ((N + 2) - Fraction(N + 1, q1))
+                    assert series_tail_bound(N, q1, d) == old, (q1, d, N)
+        with pytest.raises(ValueError, match=">= 1"):
+            series_tail_bound(0, 2, 1)
+
     def test_tail_bound_dominates_true_tail(self, golden):
         # extend the series far past the truncation and compare
         q1, d = 2, 1
