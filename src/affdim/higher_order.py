@@ -21,6 +21,11 @@ from typing import Callable, Sequence
 from .core import AffineSystem, InvalidSystemError, TransitionMatrix, validate_system
 from .oracle import brute_force_count
 
+#: cap on the bits of f(10^6), the largest value the order check of a
+#: GrowthMap evaluates exactly: k^s there has about 19.9 s bits, and the
+#: check of k^50000 takes about a second on a 2-core x86-64 VM
+GROWTH_BITS_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class GrowthMap:
@@ -34,6 +39,14 @@ class GrowthMap:
         if self.exponent <= 1:
             raise InvalidSystemError(
                 f"growth exponent must exceed 1, got {self.exponent} for {self.label}"
+            )
+        if not math.isfinite(self.exponent):
+            raise InvalidSystemError(f"growth exponent of {self.label} is past the float range")
+        bits = self.exponent * math.log2(1_000_000)
+        if bits > GROWTH_BITS_BUDGET:
+            raise InvalidSystemError(
+                f"{self.label} is too large to check: f(10^6) has about {bits:.3g} bits, "
+                f"past the {GROWTH_BITS_BUDGET}-bit limit of the exact order check"
             )
         # Numerical check of the declared order: f(k)/k^s bounded above and
         # below by positive constants on a sparse grid up to 10^6, compared
@@ -94,7 +107,7 @@ def parse_growth(text: str) -> GrowthMap:
         )
     coeff = int(match.group(1) or 1)
     exponent = float(match.group(2))
-    if exponent == int(exponent):
+    if exponent.is_integer():
         exp_i = int(exponent)
         fn = lambda k, c=coeff, e=exp_i: c * k**e  # noqa: E731 - exact integers
     else:

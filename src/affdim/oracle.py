@@ -4,7 +4,13 @@
 raw pairwise (and optional higher-order) constraints, never touching the
 chain decomposition or power-sum formulas it is used to check.  Every
 constraint is a forbidden-word set over its positions; a pair (u, v) forbids
-the words (x, y) with A[x][y] = 0.
+the words (x, y) with A[x][y] = 0.  The count is a dense transfer over the
+frontier, the positions still awaited by a later constraint: a flat list of
+exact Python ints indexed by the base-m code of the frontier letters, with
+the earliest position as the lowest digit.  Each position masks the list
+once per letter, appends its letter as the top digit or sums it away, and
+sums out the positions that leave the frontier, all by list slices and
+``map`` in pure Python (no numpy, and counts past any fixed width).
 ``maximize_chain_entropy`` numerically maximizes weighted marginal entropies
 over the probability simplex on admissible words, by damped Newton steps
 whose linear systems are solved exactly along the words' prefix tree.  It
@@ -15,6 +21,8 @@ of ``hausdorff.chain_potential`` that it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .core import AffineSystem, InvalidSystemError, NumericalError, TransitionMatrix
@@ -82,12 +90,14 @@ def brute_force_count(
     constraint and every fully-in-window extra constraint.
 
     Each constraint is checked at its latest position t: the letters at its
-    earlier positions look up the letters it bans at t, once per partial
-    word, and only the letters left are tried.
+    earlier positions look up the letters it bans at t.
 
-    ``method``: "frontier" streams position by position remembering only the
-    letters still awaited by a future constraint (a memoized depth-first
-    search); "dfs" is the plain recursive enumeration with early pruning.
+    ``method``: "frontier" streams position by position over a dense vector
+    of counts, one per assignment of letters to the frontier (the positions
+    still awaited by a later constraint); at each t every constraint becomes
+    a 0/1 mask per letter over that vector, and the positions leaving the
+    frontier are summed out.  "dfs" is the plain recursive enumeration with
+    early pruning, tried letter by letter, the slow reference.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
@@ -143,6 +153,65 @@ def _build_constraints(n: int, sys: AffineSystem, extras: list[Constraint]):
     return by_max
 
 
+def _add(vectors):
+    """The elementwise sum of equal-length lists, as an iterable."""
+    return reduce(lambda acc, v: map(add, acc, v), vectors)
+
+
+def _digit_pattern(m: int, width: int, digits: tuple[int, ...]) -> list[int]:
+    """For every state of a frontier of the given width, the base-m code of
+    its letters at the slots ``digits``, the first of them the lowest digit.
+    A state's own index has the earliest slot as its lowest digit."""
+    pattern = [0] * m**width
+    for j, i in enumerate(digits):
+        column = []
+        for x in range(m):
+            column += [x * m**j] * m**i
+        pattern = list(map(add, pattern, column * m ** (width - 1 - i)))
+    return pattern
+
+
+def _letter_masks(m: int, width: int, checks) -> list[list[int] | None]:
+    """For each letter at t, the 0/1 list over the frontier states that
+    allows it, or None where no check bans it: each check's small table of
+    the letters its earlier positions ban, read through their digit
+    pattern."""
+    masks: list[list[int] | None] = [None] * m
+    for digits, banned in checks:
+        tables = [[1] * m ** len(digits) for _ in range(m)]
+        for word, letters in banned.items():
+            code = sum(x * m**j for j, x in enumerate(word))
+            for letter in letters:
+                tables[letter][code] = 0
+        pattern = None
+        for letter, table in enumerate(tables):
+            if all(table):
+                continue
+            if pattern is None:
+                pattern = _digit_pattern(m, width, digits)
+            mask = list(map(table.__getitem__, pattern))
+            masks[letter] = mask if masks[letter] is None else list(map(mul, masks[letter], mask))
+    return masks
+
+
+def _sum_out(states: list[int], m: int, digit: int) -> list[int]:
+    """Sum a state vector over the letter at frontier slot ``digit``, by
+    strided slices or by contiguous blocks, whichever takes fewer Python
+    iterations.  The oldest slot (digit 0) is one pass over m slices of
+    step m."""
+    block = m**digit
+    stride = block * m
+    if len(states) // stride < block:
+        out = []
+        for base in range(0, len(states), stride):
+            out += _add(states[base + x * block : base + (x + 1) * block] for x in range(m))
+        return out
+    out = [0] * (len(states) // m)
+    for low in range(block):
+        out[low::block] = _add(states[low + x * block :: stride] for x in range(m))
+    return out
+
+
 def _frontier_counts(n: int, sys: AffineSystem, extras: list[Constraint]) -> list[int]:
     m = sys.m
     by_max = _build_constraints(n, sys, extras)
@@ -167,7 +236,9 @@ def _frontier_counts(n: int, sys: AffineSystem, extras: list[Constraint]) -> lis
             f"window too large: frontier needs m^{max_width + 1} states over {n} steps"
         )
 
-    states: dict[tuple[int, ...], int] = {(): 1}
+    # states[s]: the number of admissible words on {1..t} whose letters on
+    # the frontier spell s in base m, the earliest position the lowest digit
+    states = [1]
     prev_frontier: list[int] = []
     counts = []
     for t in range(1, n + 1):
@@ -176,25 +247,21 @@ def _frontier_counts(n: int, sys: AffineSystem, extras: list[Constraint]) -> lis
         checks = [
             (tuple(prev_index[u] for u in others), banned) for others, banned in by_max.get(t, ())
         ]
+        masks = _letter_masks(m, len(prev_frontier), checks)
+        copies = [states if mask is None else map(mul, states, mask) for mask in masks]
         cur_frontier = frontiers[t - 1]
-        keep = [prev_index[u] for u in cur_frontier if u != t]
-        append_new = cur_frontier and cur_frontier[-1] == t
-        new_states: dict[tuple[int, ...], int] = {}
-        for state, cnt in states.items():
-            bad = set()
-            for idx, banned in checks:
-                bad.update(banned.get(tuple(state[i] for i in idx), ()))
-            key = tuple(state[i] for i in keep)
-            if append_new:
-                for letter in range(m):
-                    if letter not in bad:
-                        new_key = key + (letter,)
-                        new_states[new_key] = new_states.get(new_key, 0) + cnt
-            elif len(bad) < m:  # a letter nothing awaits: all allowed ones reach one state
-                new_states[key] = new_states.get(key, 0) + cnt * (m - len(bad))
-        states = new_states
+        if cur_frontier and cur_frontier[-1] == t:
+            states = []  # the letter at t is the top digit
+            for copy in copies:
+                states += copy
+        else:  # nothing awaits the letter at t: every allowed letter reaches one state
+            states = list(_add(copies))
+        kept = set(cur_frontier)
+        for digit in reversed(range(len(prev_frontier))):
+            if prev_frontier[digit] not in kept:
+                states = _sum_out(states, m, digit)
         prev_frontier = cur_frontier
-        counts.append(sum(states.values()))
+        counts.append(sum(states))
     return counts
 
 

@@ -457,6 +457,14 @@ class TestHigherOrderCommand:
         assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
         assert proc.stdout.splitlines()[1] == "n,measured,bound,empirical_gap"
 
+    @pytest.mark.parametrize("growth", ["k^" + "9" * 400, "k^1000000000"])
+    def test_exponent_too_large_to_evaluate_refused_in_child(self, golden_23, tmp_path, growth):
+        # the first parses to an infinite float, the second needs f(10^6) of 2e10 bits
+        words = tmp_path / "words.json"
+        words.write_text(json.dumps({"words": ["111"]}))
+        assert_refused_in_child("higher-order", "--f", growth, "--forbidden", str(words),
+                                "--n-grid", "16,64", golden_23)
+
 
 class TestRepeatedCalls:
     def test_calls_in_one_process_repeat_their_output(self, capsys, golden_12, golden_23, tmp_path):

@@ -53,6 +53,19 @@ class TestGrowthMap:
             assert g.count_upto(n) == sum(1 for k in range(1, 200) if g.fn(k) <= n)
         assert g.fn(10**6) >= 10**312
 
+    def test_refuses_an_exponent_too_large_to_evaluate(self):
+        # the order check evaluates f(10^6) = 10^(6 s) exactly, about 19.9 s bits
+        with pytest.raises(InvalidSystemError, match="past the float range"):
+            parse_growth("k^" + "9" * 400)
+        with pytest.raises(InvalidSystemError, match="about 1.99e\\+10 bits, past the 1048576-bit limit"):
+            parse_growth("k^1000000000")
+        # the limit falls between s = 52,000 and 53,000; below it the map is
+        # evaluated (and this cheap one then fails the order check)
+        with pytest.raises(InvalidSystemError, match="bit limit"):
+            GrowthMap(fn=lambda k: k**2, exponent=53_000.0, label="k^53000")
+        with pytest.raises(InvalidSystemError, match="does not look like order"):
+            GrowthMap(fn=lambda k: k**2, exponent=52_000.0, label="k^52000")
+
     def test_rejects_wrong_order_past_the_float_range(self):
         with pytest.raises(InvalidSystemError, match="does not look like order k\\^60"):
             GrowthMap(fn=lambda k: k**61, exponent=60.0, label="k^61")

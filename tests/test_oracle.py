@@ -1,17 +1,23 @@
+import dataclasses
+import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affdim import InvalidSystemError, TransitionMatrix, chain_density, validate_system
+from affdim import oracle
 from affdim.minkowski import pattern_count_exact
 from affdim.oracle import (
+    _dfs_count,
     _newton_direction,
+    _normalize_extra,
     _prefix_tree,
     admissible_words,
     brute_force_count,
@@ -67,6 +73,57 @@ def irreducible_matrices(draw):
         matrix = TransitionMatrix.from_rows(rows)
         if matrix.is_irreducible():
             return matrix
+
+
+def product_count(t, s, extras):
+    """The number of the m^t words on {1..t} that satisfy every window pair
+    and every extra constraint inside the window, each word checked."""
+    pairs = window_pairs(t, s)
+    inside = [(pos, words) for pos, words in extras if max(pos) <= t]
+    return sum(
+        all(s.matrix.rows[w[u - 1]][w[v - 1]] for u, v in pairs)
+        and all(tuple(w[u - 1] for u in pos) not in words for pos, words in inside)
+        for w in product(range(s.m), repeat=t)
+    )
+
+
+@st.composite
+def enumeration_cases(draw):
+    """(system, window, extra constraints) for the enumeration oracles.
+
+    Matrices with m = 2..5 are random, periodic, zero-diagonal or have a zero
+    row.  The oracles read only the pair positions and the matrix rows, so a
+    matrix that ``validate_system`` refuses as reducible is put in with
+    ``dataclasses.replace``.  a > b is allowed, so pairs with u > v and u = v
+    occur.  Up to three extra constraints have positions in any order,
+    repeated or past the window, so a position other than the oldest can
+    leave the frontier first."""
+    kind = draw(st.sampled_from(["random", "periodic", "zero-diagonal", "zero-row"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "periodic":
+        rows = [list(row) for row in draw(st.sampled_from(PERIODIC))]
+    else:
+        rows = random_binary_matrix(draw(st.integers(2, 5)), rng, density=0.7)
+        if kind == "zero-diagonal":
+            rows = [[0 if x == y else e for y, e in enumerate(row)] for x, row in enumerate(rows)]
+        elif kind == "zero-row":
+            rows[rng.randrange(len(rows))] = [0] * len(rows)
+    m = len(rows)
+    p = draw(st.integers(1, 3))
+    params = (p, draw(st.integers(p + 1, 6)), draw(st.integers(-2, 5)), draw(st.integers(-2, 5)))
+    s = dataclasses.replace(validate_system(*params, [[1] * m] * m),
+                            matrix=TransitionMatrix.from_rows(rows))
+    top = int(math.log(1 << 14) / math.log(m))  # every window up to n is checked
+    n = draw(st.integers(top // 2, top))
+    extras = []
+    for _ in range(draw(st.integers(0, 3))):
+        # an early position awaited by a later one outlives younger positions
+        pos = [rng.randint(1, (n + 1) // 2)] + [rng.randint(1, n + 1) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(pos)
+        pos = tuple(pos)
+        words = {tuple(rng.randrange(m) for _ in pos) for _ in range(rng.randint(0, 2 * m))}
+        extras.append((pos, words))
+    return s, n, extras
 
 
 class TestBruteForce:
@@ -154,16 +211,6 @@ class TestBruteForce:
         of the m^n words, on systems with a > b allowed (so pairs with u > v
         and u = v occur) and extra constraints that repeat positions or stick
         out of the window."""
-
-        def product_count(t, s, extras):
-            pairs = window_pairs(t, s)
-            inside = [(pos, words) for pos, words in extras if max(pos) <= t]
-            return sum(
-                all(s.matrix.rows[w[u - 1]][w[v - 1]] for u, v in pairs)
-                and all(tuple(w[u - 1] for u in pos) not in words for pos, words in inside)
-                for w in product(range(s.m), repeat=t)
-            )
-
         rng = random.Random(20240613)
         shapes = set()
         for _ in range(120):
@@ -185,6 +232,52 @@ class TestBruteForce:
                 assert brute_force_count(n, s, extras, method=method).count == expected[-1]
             assert brute_force_counts_upto(n, s, extras) == expected
         assert shapes == {"u>v", "u=v", "u<v", "repeat", "outside"}
+
+    @given(enumeration_cases())
+    # on (1,2;0,0) position 1 is awaited until 9 by an extra constraint, so
+    # positions 2, 3 and 4 leave the frontier before it, each from a slot
+    # other than the oldest
+    @example((validate_system(1, 2, 0, 0, ((0, 1, 1), (1, 0, 1), (1, 1, 1))), 9,
+              [((1, 6), {(0, 1), (1, 1), (1, 2)}), ((1, 9), {(0, 2), (2, 1)})]))
+    # three-position constraints with their positions out of order
+    @example((validate_system(2, 3, 1, 2, ((0, 1, 1), (1, 0, 1), (1, 1, 1))), 11,
+              [((2, 9, 1), {(2, 2, 0), (1, 1, 1), (2, 2, 2)}), ((4, 11), {(0, 1), (0, 2), (2, 2)}),
+               ((3, 4, 2), {(1, 2, 1), (2, 2, 1)})]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_dense_transfer_matches_depth_first_and_product_counts(self, case):
+        s, n, extras = case
+        counts = brute_force_counts_upto(n, s, extras)
+        for t in range(1, n + 1):
+            assert counts[t - 1] == _dfs_count(t, s, _normalize_extra(extras, t, s.m))
+            if s.m**t <= 1 << 9:
+                assert counts[t - 1] == product_count(t, s, extras)
+
+    def test_count_past_64_bits_on_five_letters(self):
+        matrix = random_irreducible(5, random.Random(5))
+        assert matrix.rows == ((1, 1, 0, 1, 1), (0, 0, 1, 0, 1), (0, 1, 0, 0, 0),
+                               (0, 1, 1, 1, 1), (1, 1, 0, 1, 0))
+        s = validate_system(2, 3, 0, 0, matrix)
+        counts = brute_force_counts_upto(40, s)
+        assert counts[-1] > 2**63
+        assert counts == [pattern_count_exact(t, s) for t in range(1, 41)]
+
+    def test_state_budget_boundary(self, monkeypatch):
+        # recorded from the dictionary-of-states enumeration this one replaced
+        monkeypatch.setattr(oracle, "STATE_BUDGET", 1 << 12)
+        s = sys_golden(1, 2, 0, 0)
+        assert brute_force_counts_upto(25, s) == [pattern_count_exact(t, s) for t in range(1, 26)]
+        message = "window too large: frontier needs m^8 states over 26 steps"
+        with pytest.raises(InvalidSystemError, match=f"^{re.escape(message)}$"):
+            brute_force_counts_upto(26, s)
+        with pytest.raises(InvalidSystemError, match=f"^{re.escape(message)}$"):
+            brute_force_count(26, s)
+
+    def test_wide_frontier_counts_are_pinned(self):
+        # frontier width 18; the digest was recorded from the
+        # dictionary-of-states enumeration this one replaced
+        counts = brute_force_counts_upto(70, sys_golden(1, 2, 0, 0))
+        digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+        assert digest == "3f8801bfe40beabdc0e5b2319cc935aa3845e0204bf0e13db97ec9516a8dd2b8"
 
 
 class TestSimplexProjection:
