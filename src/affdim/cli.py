@@ -122,10 +122,14 @@ def cmd_count(args) -> None:
 def cmd_verify(args) -> None:
     system = load_system(args.system)
     oracle_counts = oracle.brute_force_counts_upto(args.max_n, system)
+    top = minkowski.pattern_count_exact(args.max_n, system)
+    formula_counts = minkowski.pattern_counts_upto(args.max_n, system)
+    # the running product must reach the census route's count at the top window
+    if formula_counts[-1] != top:
+        raise NumericalError("running pattern counts disagree with the census count")
     rows = []
     all_equal = True
-    for n in range(1, args.max_n + 1):
-        formula = minkowski.pattern_count_exact(n, system)
+    for n, formula in enumerate(formula_counts, 1):
         equal = formula == oracle_counts[n - 1]
         all_equal = all_equal and equal
         rows.append(

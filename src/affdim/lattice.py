@@ -201,6 +201,14 @@ def chain_levels(n: int, sys: AffineSystem):
     window members in the order of their starts; ``more`` masks the chains
     whose next member is in the window.  This is the one vectorized walk of
     the successor map, and it touches only the chains that advance.
+
+    Two strided boolean masks over the window replace per-position division.
+    The positions q*k + b with k >= k_min have a predecessor; every other
+    position starts a chain.  The positions p*k + a with
+    k_min <= k <= (n - b) // q link into the window.  Both progressions lie
+    inside it: a predecessor is smaller than its image, and a linked position
+    is smaller than its image q*k + b <= n.  Each level looks its positions
+    up in the link mask and divides only the linked ones.
     """
     import numpy as np
 
@@ -210,21 +218,24 @@ def chain_levels(n: int, sys: AffineSystem):
     _check_int64(n, sys)
     p, q, a, b, k_min = sys.p, sys.q, sys.a, sys.b, sys.k_min
 
-    pos = np.arange(1, n + 1, dtype=np.int64)
-    off = pos - b
-    k = off // q
-    has_pre = (off % q == 0) & (k >= k_min)
-    # predecessor p*k+a of an in-window position is smaller, hence in-window
-    cur = pos[~has_pre]
-    del pos, off, k, has_pre
+    # index x stands for position x; index 0 is no position
+    starts = np.ones(n + 1, dtype=bool)
+    starts[0] = False
+    starts[q * k_min + b :: q] = False
+    cur = np.flatnonzero(starts)
+    del starts
+    links = np.zeros(n + 1, dtype=bool)
+    last = (n - b) // q
+    if last >= k_min:  # else the slice stop may be negative and wrap round
+        links[p * k_min + a : p * last + a + 1 : p] = True
 
     while len(cur):
-        offs = cur - a
-        kk = offs // p
-        nxt = q * kk + b
-        more = (offs % p == 0) & (kk >= k_min) & (nxt <= n)
-        nxt = nxt[more]
-        del offs, kk
+        more = links[cur]
+        nxt = cur[more]
+        nxt -= a
+        nxt //= p
+        nxt *= q
+        nxt += b
         yield cur, more
         cur = nxt
 
@@ -233,7 +244,10 @@ def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
     """Full orbit length at each chain start of ``chain_levels``, 0 if infinite.
 
     No walk past the window is needed.  A start s has a successor iff
-    s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.  The image
+    s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.  As in
+    ``chain_levels``, that test is a lookup in a strided boolean mask of the
+    progression p*k + a, k >= k_min, so only the starts with a successor are
+    divided.  The image
     q*k + b of index k is a + d*(q1*k + c) in the divisible case, which is
     again p*k' + a iff p1 divides q1*k + c, that is iff p1 divides
     w(k) = (q1 - p1)*k + c; then k' = k + w(k)/p1 and w(k') = (q1/p1)*w(k).
@@ -246,15 +260,16 @@ def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
     """
     import numpy as np
 
-    offs = starts - sys.a
-    k0 = offs // sys.p
-    has_next = (offs % sys.p == 0) & (k0 >= sys.k_min)
+    progression = np.zeros(int(starts.max(initial=0)) + 1, dtype=bool)
+    progression[sys.p * sys.k_min + sys.a :: sys.p] = True
+    has_next = progression[starts]
+    del progression
     if _infinite_orbits(sys):
         return np.where(has_next, 0, 1)
     full = has_next.astype(np.int64) + 1
     if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
-        ids = np.nonzero(has_next)[0]
-        w = (sys.q1 - sys.p1) * k0[ids] + sys.c
+        ids = np.flatnonzero(has_next)
+        w = (sys.q1 - sys.p1) * ((starts[ids] - sys.a) // sys.p) + sys.c
         while len(ids):
             divides = w % sys.p1 == 0
             ids, w = ids[divides], w[divides] // sys.p1

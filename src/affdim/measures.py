@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .core import AffineSystem, CaseTag, InvalidSystemError
 from .hausdorff import _levels, power_fixed_point
@@ -88,6 +88,15 @@ def pair_measure(sys: AffineSystem) -> ChainMeasure:
     return ChainMeasure(length=2, first=first, transitions=(_row_laws(sys, [1.0] * sys.m),))
 
 
+def _chain_laws(sys: AffineSystem, count: int) -> list[tuple]:
+    """(first-letter law, transition rows) weighted by each of the first
+    ``count`` levels of the chain stream: all ones, then the powered levels
+    P_0, P_1, ... of ``_levels`` at r = p1/q1.  Each level's laws are formed
+    once, whatever the number of chain lengths that read them."""
+    weights = chain([[1.0] * sys.m], _levels(sys.matrix, sys.p1 / sys.q1))
+    return [(_normalized(w), _row_laws(sys, w)) for w in islice(weights, count)]
+
+
 def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
     """Optimal law on divisible-general chains of full length i.
 
@@ -96,7 +105,8 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
     to P_(i-2), the letter after level l < i-1 follows row-normalized
     A·diag(P_(i-2-l)), and the last one is uniform over admissible
     continuations.  These are the laws of ``chain_potential(i)``'s tables,
-    float for float (see ``dimension_divisible``).
+    float for float (see ``dimension_divisible``).  They are read from
+    ``_chain_laws``, as ``PrefixMeasure`` reads them.
     """
     if i == 1:
         return letter_measure(sys.m)
@@ -106,11 +116,11 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
         )
     if i < 1:
         raise ValueError(f"chain measure is defined for lengths >= 1, got {i}")
-    powered = list(islice(_levels(sys.matrix, sys.p1 / sys.q1), i - 1))
+    laws = _chain_laws(sys, i)
     return ChainMeasure(
         length=i,
-        first=_normalized(powered[-1]),
-        transitions=tuple(_row_laws(sys, w) for w in [*reversed(powered[:-1]), [1.0] * sys.m]),
+        first=laws[-1][0],
+        transitions=tuple(rows for _, rows in reversed(laws[:-1])),
     )
 
 
@@ -132,6 +142,11 @@ class PrefixMeasure:
     -log_m probability for arbitrary words, in one shared pass over the
     levels of ``chain_levels``: a chain's letter at level j follows its
     family's law at level j given its letter at level j - 1.
+
+    The build fixes everything a draw would otherwise recompute.  The law
+    table is filled from one pass of ``_chain_laws`` in the divisible-general
+    case, and each level stores every chain's row base: its family's first
+    row plus the level offset.  A draw then only adds the previous letter.
     """
 
     def __init__(self, sys: AffineSystem, n: int):
@@ -146,27 +161,48 @@ class PrefixMeasure:
         lengths = orbit_lengths(starts, sys)
         keys = np.flatnonzero(np.bincount(lengths))
         # 0-based positions of each level and the chains that go on from it
-        self._levels = [(starts - 1, more)] + [(pos - 1, more) for pos, more in levels]
-        depth = len(self._levels)
+        walked = [(starts - 1, more)] + [(pos - 1, more) for pos, more in levels]
+        depth = len(walked)
         # laws[f, j, x] is the law of the letter at level j after letter x;
         # level 0 repeats the first-letter law, as it has no previous letter
         laws = np.zeros((len(keys), depth, m, m))
-        for f, key in enumerate(keys.tolist()):
-            measure = self._measure_for(key or "inf")
-            laws[f, 0] = measure.first
-            for level in range(1, min(depth, measure.length or depth)):
-                laws[f, level] = measure.transition(level)
+        if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
+            # length i reads its first letter from stream level i - 1 and the
+            # letter at level j from stream level i - 1 - j; rows[s] holds
+            # the rows of stream level s - 1, and rows[0] the zero law past
+            # the chain's end
+            stream = _chain_laws(sys, int(keys[-1]))
+            firsts = np.array([first for first, _ in stream])
+            rows = np.zeros((len(stream) + 1, m, m))
+            rows[1:] = [level_rows for _, level_rows in stream]
+            laws[:, 0] = firsts[keys - 1, None]
+            laws[:, 1:] = rows[np.maximum(keys[:, None] - np.arange(1, depth), 0)]
+        else:
+            for f, key in enumerate(keys.tolist()):
+                measure = self._measure_for(key or "inf")
+                laws[f, 0] = measure.first
+                for level in range(1, min(depth, measure.length or depth)):
+                    laws[f, level] = measure.transition(level)
+        # the table the draws read, kept for inspection: family f is
+        # families[f], a full length or "inf"
+        self.families = tuple(key or "inf" for key in keys.tolist())
+        self.laws = laws
         laws = laws.reshape(-1, m)
         cdf = np.cumsum(laws, axis=1)
         cdf[:, -1] = 1.0 + 1e-12  # zero-mass letters stay unreachable
         # a variate u < 1 never reaches the last entry, so it is not compared
         self._cdf_columns = cdf.T[:-1].copy()
         self._log2 = np.where(laws > 0, np.log2(np.maximum(laws, 1e-300)), -np.inf).ravel()
-        # flat row (f*depth + j)*m + x holds laws[f, j, x]; _base is each
-        # chain's level-0 row, and the table is far smaller than 2**31
+        # flat row (f*depth + j)*m + x holds laws[f, j, x]; a chain's base at
+        # level j is (f*depth + j)*m, and the table is far smaller than 2**31
         first_row = np.zeros(keys[-1] + 1, dtype=np.int32)
         first_row[keys] = np.arange(len(keys)) * (depth * m)
-        self._base = first_row[lengths]
+        base = first_row[lengths]
+        del lengths, first_row
+        self._levels = []
+        for idx, more in walked:
+            self._levels.append((idx, base, more))
+            base = base[more] + m
 
     def _measure_for(self, key) -> ChainMeasure:
         sys = self.sys
@@ -176,8 +212,6 @@ class PrefixMeasure:
             return stationary_chain_measure(sys)
         if sys.case_tag is CaseTag.NON_DIVISIBLE:
             return pair_measure(sys)
-        if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
-            return chain_measure(key, sys)
         raise InvalidSystemError(
             f"no measure family for finite chain length {key} in case {sys.case_tag.value}"
         )
@@ -189,12 +223,12 @@ class PrefixMeasure:
 
         m = self.sys.m
         log2p = np.empty(self.n)
-        base = rows = self._base
-        for idx, more in self._levels:
+        previous = None  # level 0 has no previous letter
+        for idx, base, more in self._levels:
+            rows = base if previous is None else base + previous
             lets = pick(rows, idx)
             log2p[idx] = self._log2[rows * m + lets]
-            base = base[more] + m
-            rows = base + lets[more]
+            previous = lets[more]
         return log2p
 
     def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:

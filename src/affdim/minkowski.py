@@ -25,7 +25,7 @@ from .core import (
     check_tolerance,
     truncation_index,
 )
-from .lattice import Census, window_counts
+from .lattice import Census, _check_monotone, predecessor, window_counts
 
 #: the unit roundoff 2**-53 doubled
 _TWO_U = 2.0**-52
@@ -195,6 +195,33 @@ def pattern_count_exact(
     for j, cnt in D.items():
         count *= sys.matrix.power_sum(j - 1) ** cnt
     return count
+
+
+def pattern_counts_upto(max_n: int, sys: AffineSystem) -> list[int]:
+    """``pattern_count_exact(n, sys)`` for every n = 1..max_n, in one pass.
+
+    Write s(j) = |A^(j-1)| for the factor of a chain with j window members
+    (s(1) = m) and s(0) = 1.  Position n either starts a chain, or extends
+    the chain of its predecessor, which is smaller and so holds some j
+    members of {1, ..., n-1}.  Either way one factor s(j) becomes s(j+1),
+    with j = 0 for a new chain, so count(n) = count(n-1) / s(j) * s(j+1).
+    """
+    if max_n < 1:
+        raise ValueError(f"window size must be >= 1, got {max_n}")
+    _check_monotone(sys)
+    sums = [1]
+    members = [0] * (max_n + 1)  # window members of x's chain up to x
+    counts = []
+    count = 1
+    for x in range(1, max_n + 1):
+        pre = predecessor(x, sys)
+        j = 0 if pre is None else members[pre]
+        if j + 1 == len(sums):
+            sums.append(sys.matrix.power_sum(j))
+        members[x] = j + 1
+        count = count // sums[j] * sums[j + 1]
+        counts.append(count)
+    return counts
 
 
 def empirical_dimension(n: int, sys: AffineSystem, census: Census | None = None) -> float:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affdim import (
@@ -141,34 +141,81 @@ class TestDecompose:
             assert c.window_count <= c.full_length
 
 
+def assert_walks_match(n, s):
+    """chain_walk, chain_levels and orbit_lengths agree with decompose chain
+    by chain."""
+    chains = decompose(n, s).chains
+    walk = chain_walk(n, s)
+    assert walk.starts.tolist() == [c.start for c in chains]
+    assert walk.window.tolist() == [c.window_count for c in chains]
+    assert walk.full_length.tolist() == [c.full_length for c in chains]
+    assert walk.truncated.tolist() == [c.truncated for c in chains]
+    # truncated means an infinite orbit: p1 = 1 in the divisible case,
+    # where every start with a successor never stops
+    infinite = s.p1 == 1 and s.divisible
+    assert walk.truncated.tolist() == [infinite and successor(c.start, s) is not None for c in chains]
+    # the level walk the sampler draws from, read back chain by chain,
+    # and the family each chain's measure comes from
+    levels = chain_levels(n, s)
+    starts, more = next(levels)
+    walked = [[x] for x in starts.tolist()]
+    ids = np.nonzero(more)[0]
+    for positions, more in levels:
+        for chain, x in zip(ids.tolist(), positions.tolist()):
+            walked[chain].append(x)
+        ids = ids[more]
+    assert [tuple(w) for w in walked] == [c.positions for c in chains]
+    families = [length or "inf" for length in orbit_lengths(starts, s).tolist()]
+    assert families == ["inf" if c.truncated else c.full_length for c in chains]
+
+
+def first_pair_increases(s):
+    return s.q * s.k_min + s.b > s.p * s.k_min + s.a
+
+
+def increasing_systems(rows, offsets):
+    """Every (p, q, a, b) with p < q <= 6 and a, b in ``offsets`` whose first
+    constraint pair increases, on the matrix ``rows``."""
+    systems = (
+        validate_system(p, q, a, b, rows)
+        for p in range(1, 4)
+        for q in range(p + 1, 7)
+        for a in offsets
+        for b in offsets
+    )
+    return [s for s in systems if first_pair_increases(s)]
+
+
+#: primitive three-letter matrix with row sums 2, 2, 3
+THREE = ((1, 1, 0), (1, 0, 1), (1, 1, 1))
+
+
 class TestChainWalk:
     @given(small_systems, st.integers(1, 300))
     @settings(max_examples=120, deadline=None)
     def test_matches_decompose_chain_by_chain(self, pqab, n):
-        s = validate_system(*pqab, GOLDEN)
-        chains = decompose(n, s).chains
-        walk = chain_walk(n, s)
-        assert walk.starts.tolist() == [c.start for c in chains]
-        assert walk.window.tolist() == [c.window_count for c in chains]
-        assert walk.full_length.tolist() == [c.full_length for c in chains]
-        assert walk.truncated.tolist() == [c.truncated for c in chains]
-        # truncated means an infinite orbit: p1 = 1 in the divisible case,
-        # where every start with a successor never stops
-        infinite = s.p1 == 1 and s.divisible
-        assert walk.truncated.tolist() == [infinite and successor(c.start, s) is not None for c in chains]
-        # the level walk the sampler draws from, read back chain by chain,
-        # and the family each chain's measure comes from
-        levels = chain_levels(n, s)
-        starts, more = next(levels)
-        walked = [[x] for x in starts.tolist()]
-        ids = np.nonzero(more)[0]
-        for positions, more in levels:
-            for chain, x in zip(ids.tolist(), positions.tolist()):
-                walked[chain].append(x)
-            ids = ids[more]
-        assert [tuple(w) for w in walked] == [c.positions for c in chains]
-        families = [length or "inf" for length in orbit_lengths(starts, s).tolist()]
-        assert families == ["inf" if c.truncated else c.full_length for c in chains]
+        assert_walks_match(n, validate_system(*pqab, GOLDEN))
+
+    def test_matches_decompose_around_the_first_link(self):
+        # negative offsets give k_min > 1, and a > b with an increasing first
+        # pair; each system is walked on the window n = 1 and on the windows
+        # just below, at and just above its first link q*k_min + b
+        systems = increasing_systems(GOLDEN, range(-6, 7))
+        assert any(s.k_min > 1 for s in systems)
+        assert any(s.a > s.b for s in systems)
+        for s in systems:
+            first_link = s.q * s.k_min + s.b
+            for n in sorted({1, first_link - 1, first_link, first_link + 1} - {0}):
+                assert_walks_match(n, s)
+
+    @given(st.integers(1, 4), st.integers(2, 7), st.integers(-6, 6), st.integers(-6, 6),
+           st.integers(1, 400), st.sampled_from([GOLDEN, THREE]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_decompose_with_signed_offsets(self, p, q, a, b, n, rows):
+        assume(p < q)
+        s = validate_system(p, q, a, b, rows)
+        assume(first_pair_increases(s))
+        assert_walks_match(n, s)
 
     @pytest.mark.parametrize(
         "pqab",

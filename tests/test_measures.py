@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from affdim import InvalidSystemError, chain_density, decompose, validate_system
+from affdim import CaseTag, InvalidSystemError, chain_density, decompose, validate_system
 from affdim.hausdorff import chain_potential, dimension as dim_h
 from affdim.measures import (
     PrefixMeasure,
@@ -285,6 +285,42 @@ class TestSampling:
             assert pm.neg_log_prob(letters) == neg_log2 / math.log2(s.m)
 
 
+class TestLawTable:
+    @staticmethod
+    def expected(family, s):
+        if family == 1:
+            return letter_measure(s.m)
+        if family == "inf":
+            return stationary_chain_measure(s)
+        if s.case_tag is CaseTag.NON_DIVISIBLE:
+            return pair_measure(s)
+        return chain_measure(family, s)
+
+    def test_rows_equal_the_chain_laws(self):
+        # the table is filled from one pass over the chain stream, with the
+        # levels read in reverse; every row must be the family's own law
+        rng = random.Random(1601)
+        tags = set()
+        for _ in range(60):
+            p = rng.randint(1, 4)
+            q = rng.randint(p + 1, 8)
+            a = rng.randint(0, 5)
+            s = validate_system(p, q, a, rng.randint(a, 5), random_irreducible(rng.randint(2, 4), rng))
+            tags.add(s.case_tag)
+            pm = PrefixMeasure(s, rng.choice((1, 7, 300, 3000, 20_000)))
+            depth = pm.laws.shape[1]
+            for f, family in enumerate(pm.families):
+                mu = self.expected(family, s)
+                assert pm.laws[f, 0].tolist() == [list(mu.first)] * s.m
+                for level in range(1, depth):
+                    if mu.length is None or level < mu.length:
+                        rows = [list(row) for row in mu.transition(level)]
+                    else:
+                        rows = [[0.0] * s.m] * s.m
+                    assert pm.laws[f, level].tolist() == rows, (family, level)
+        assert tags == set(CaseTag)
+
+
 class TestLocalDimension:
     def test_full_matrix_exactly_one(self):
         mean, stderr = empirical_local_dimension(sys_full(1, 2, 0, 0), 2000, seed=0, samples=5)
@@ -340,6 +376,19 @@ class TestLocalDimension:
     def test_pinned(self, rows, pqab, pinned):
         # recorded from the sampler that regrouped the chains into families
         s = validate_system(*pqab, rows)
+        assert repr(empirical_local_dimension(s, 5000, seed=3, samples=4)) == pinned
+
+    @pytest.mark.parametrize(
+        "pqab, pinned",
+        [
+            ((2, 4, 0, 1), "(0.887701651581806, 0.0008014310117949374)"),
+            ((2, 4, 0, 0), "(0.9063951805307322, 0.0005910347925588486)"),
+        ],
+    )
+    def test_pinned_pairs_and_degenerate(self, pqab, pinned):
+        # the non-divisible and the degenerate families on golden, recorded
+        # before the sampler fixed its row bases at build time
+        s = sys_golden(*pqab)
         assert repr(empirical_local_dimension(s, 5000, seed=3, samples=4)) == pinned
 
     def test_seeded_reproducibility(self):

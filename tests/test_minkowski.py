@@ -12,6 +12,7 @@ from affdim.minkowski import (
     dimension_nondivisible,
     empirical_dimension,
     pattern_count_exact,
+    pattern_counts_upto,
     series_evaluation,
     series_tail_bound,
 )
@@ -224,6 +225,21 @@ class TestPatternCount:
         assert pattern_count_exact(3, sys_golden(1, 2, 0, 0)) == 6
         assert pattern_count_exact(2, sys_golden(2, 3, 0, 0)) == 4
         assert pattern_count_exact(5, sys_golden(2, 4, 0, 1)) == 24
+
+    def test_running_counts_match_every_window(self):
+        # each position either starts a chain or extends its predecessor's;
+        # signed offsets give k_min > 1 and a > b
+        rng = random.Random(16)
+        systems = [sys_golden(*pqab) for pqab in BATTERY + [(2, 5, -3, 4), (2, 5, 3, 1), (1, 3, 1, 0)]]
+        systems += [validate_system(2, 3, 0, 0, random_irreducible(m, rng)) for m in (3, 4)]
+        for s in systems:
+            assert pattern_counts_upto(90, s) == [pattern_count_exact(n, s) for n in range(1, 91)]
+
+    def test_running_counts_refuse_what_the_census_refuses(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            pattern_counts_upto(0, sys_golden(2, 3, 0, 0))
+        with pytest.raises(InvalidSystemError, match="non-increasing"):
+            pattern_counts_upto(10, sys_golden(1, 2, 1, 0))
 
     def test_full_matrix_counts_everything(self):
         for n in (1, 4, 9):
