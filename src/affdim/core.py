@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Sequence
 
 
@@ -174,12 +175,11 @@ class TransitionMatrix:
         with self._lock:
             cache = self._cache
             if "sums" not in cache:
-                cache["successors"] = [[y for y, e in enumerate(row) if e] for row in self.rows]
                 cache["vector"] = [1] * self.m
                 cache["sums"] = [self.m]
-            sums, vector, successors = cache["sums"], cache["vector"], cache["successors"]
+            sums, vector = cache["sums"], cache["vector"]
             while len(sums) <= k:
-                vector = [sum(vector[y] for y in ys) for ys in successors]
+                vector = [sum(compress(vector, row)) for row in self.rows]
                 sums.append(sum(vector))
             cache["vector"] = vector
             return sums[k]

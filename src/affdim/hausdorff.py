@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import sub
 
 from .core import (
     AffineSystem,
@@ -40,12 +42,12 @@ class FixedPointVector:
 def _levels(matrix: TransitionMatrix, r: float):
     """Yield [v_x**r] for v = row sums, F(row sums), F(F(row sums)), ...
     where F(v)_x = sum_{y : A[x][y] = 1} v[y]**r, each power taken once."""
-    successors = [[y for y, edge in enumerate(row) if edge] for row in matrix.rows]
+    rows = matrix.rows
     v = [float(s) for s in matrix.row_sums]
     while True:
         powered = [vx**r for vx in v]
         yield powered
-        v = [sum(powered[y] for y in ys) for ys in successors]
+        v = [sum(compress(powered, row)) for row in rows]
 
 
 def power_fixed_point(
@@ -80,11 +82,11 @@ def power_fixed_point(
         ) from None
     t = [1.0] * matrix.m
     for iteration, nxt in zip(range(1, max_iterations + 1), _levels(matrix, r)):
-        step = max(abs(nx - tx) for nx, tx in zip(nxt, t))
+        step = max(map(abs, map(sub, nxt, t)))
         t = nxt
         if step < tol / 10:
-            res = max(abs(tx**exponent - sum(a * ty for a, ty in zip(row, t)))
-                      for tx, row in zip(t, matrix.rows))
+            at = [sum(compress(t, row)) for row in matrix.rows]
+            res = max(map(abs, map(sub, map(pow, t, repeat(exponent)), at)))
             if res < tol:
                 return FixedPointVector(
                     values=tuple(t), exponent=exponent, residual=res, iterations=iteration

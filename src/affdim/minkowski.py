@@ -75,6 +75,7 @@ def _series_terms(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i
     N, (tail_num, tail_den) = truncation_index(lambda i: _series_tail(i, q1, d), first_i, tol)
     ln_m = math.log(matrix.m)
     num, den = (q1 - 1) ** 2, d * q1**first_i
+    matrix.power_sum(N - 1)  # one cache extension; each call below is a lookup
     terms = []
     for i in range(first_i, N + 1):
         den *= q1
