@@ -9,6 +9,7 @@ the case classification computed here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -48,11 +49,12 @@ def truncation_index(
     """(N, tail(N)) for the smallest N >= start with tail(N) <= tol.
 
     ``tail(i)`` is an exact, strictly decreasing series tail bound given as a
-    pair (num, den) of positive ints.  With tol = t_num / t_den exactly, the
-    test num * t_den <= t_num * den is exact and monotone in i, subnormal
-    tolerances included, so a galloping search from ``start`` and a bisection
-    find the N at which a per-term scan would stop.  Report the bound as
-    ``num / den``, which is correctly rounded.
+    pair (num, den) of positive ints; a float factor of a bound enters
+    through its exact ``as_integer_ratio()``.  With tol = t_num / t_den
+    exactly, the test num * t_den <= t_num * den is exact and monotone in i,
+    subnormal tolerances included, so a galloping search from ``start`` and
+    a bisection find the N at which a per-term scan would stop.  Report the
+    bound as ``num / den``, which is correctly rounded.
     """
     check_tolerance(tol)
     t_num, t_den = tol.as_integer_ratio()
@@ -221,9 +223,11 @@ class AffineSystem:
     def m(self) -> int:
         return self.matrix.m
 
-    @property
+    @functools.cached_property
     def k_min(self) -> int:
-        """Smallest k for which both constrained positions are >= 1."""
+        """Smallest k for which both constrained positions are >= 1.  Cached
+        in the instance dict, which the dataclass's repr, == and hash do not
+        read."""
         return max(1, _ceil_div(1 - self.a, self.p), _ceil_div(1 - self.b, self.q))
 
     @property
@@ -328,12 +332,15 @@ def load_system(path: str) -> AffineSystem:
 class DimensionReport:
     """Result of a dimension computation plus its accuracy accounting.
 
-    For series-based values the true sum lies within ``rounding_bound`` of
-    ``value`` plus at most ``tail_bound``: the omitted terms add at most
-    ``tail_bound`` and the float arithmetic of the summed ones errs by at
-    most ``rounding_bound``.  Closed forms carry tail_bound == 0, and
-    rounding_bound == 0 where no bound is derived.  ``to_dict`` leaves
-    rounding_bound out, so the report schema stays as it was.
+    For series-based values the true sum lies in
+    [value, value + tail_bound] up to ``rounding_bound``, the float error of
+    the summed terms.  The Minkowski series leave the omitted terms out of
+    ``value`` and bound them by ``tail_bound``.  The divisible-general
+    Hausdorff series adds the lower end of an enclosure of its omitted terms
+    to ``value`` and reports the enclosure's width as ``tail_bound``.
+    Closed forms carry tail_bound == 0, and rounding_bound == 0 where no
+    bound is derived.  ``to_dict`` leaves rounding_bound out, so the report
+    schema stays as it was.
     """
 
     value: float

@@ -26,7 +26,7 @@ from .core import (
     truncation_index,
 )
 from . import minkowski
-from .lattice import _extra_census_tail, chain_density
+from .lattice import chain_density
 
 
 @dataclass(frozen=True)
@@ -215,6 +215,52 @@ def chain_potential(i: int, sys: AffineSystem) -> ChainPotential:
     )
 
 
+def _drift_range(sys: AffineSystem) -> tuple[float, float]:
+    """(lo, width): lo <= log2((F s)_x / s_x) <= hi for every letter x, where
+    s is the row-sum vector and F = F_r at the exact r = p1/q1, and
+    width >= (hi - lo) / log2(m).
+
+    hi - lo is Hilbert's projective distance between s and F s, in log2
+    units.  With u = 2^-53, and assuming ``**`` and ``math.log2`` within
+    1 ulp: the float r = p1/q1 moves each s_y^r by at most u * ln m
+    relative, and the power adds 2u; the sum of at most m positive powers
+    adds (m - 1)u, so (F s)_x is computed within (m + 2 + ln m)u relative.
+    Its log2 then errs by at most 1.45 times that plus 1 ulp of a log2
+    below 2 log2 m; log2 s_x errs by 1 ulp of a value below log2 m, and
+    the difference, at most log2 m, rounds once.  The total is under
+    u * (1.47 (m + 2 + ln m) + 7 log2 m) <= 11 m u for m >= 2, so each
+    side is widened by m * 2^-49 = 16 m u, whose spare 5 m u covers the
+    rounding of lo and hi themselves.  The subtraction hi - lo, the
+    division and log2(m) then err by at most 4u relative, and the factor
+    1 + 2^-50 = 1 + 8u covers that and its own rounding.
+    """
+    powered = next(_levels(sys.matrix, sys.p1 / sys.q1))  # s_y^r
+    drift = [
+        math.log2(sum(compress(powered, row))) - math.log2(sx)
+        for row, sx in zip(sys.matrix.rows, sys.matrix.row_sums)
+    ]
+    margin = sys.m * 2.0**-49
+    lo, hi = min(drift) - margin, max(drift) + margin
+    return lo, (hi - lo) / math.log2(sys.m) * (1 + 2.0**-50)
+
+
+def _limit_tail(upto_i: int, sys: AffineSystem, width: float) -> tuple[int, int]:
+    """limit_tail_bound(upto_i, sys) as a pair (num, den) of positive ints:
+    ``width`` exactly, over p * q1^(upto_i - 1)."""
+    num, den = width.as_integer_ratio()
+    return num, den * sys.p * sys.q1 ** (upto_i - 1)
+
+
+def limit_tail_bound(upto_i: int, sys: AffineSystem) -> Fraction:
+    """Exact width of the enclosure of the divisible-general Hausdorff
+    series' omitted terms after ``upto_i`` terms (see ``dimension_divisible``)."""
+    if upto_i < 2:
+        raise ValueError("truncation index must be >= 2")
+    if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
+        raise InvalidSystemError("the chain-potential tail requires the divisible-general case")
+    return Fraction(*_limit_tail(upto_i, sys, _drift_range(sys)[1]))
+
+
 def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
     """Series of weighted chain-potential logs for the divisible-general case.
 
@@ -241,17 +287,33 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     ``chain_potential(i).value`` and ``float(chain_potential(i).weight())``
     exactly.
 
-    Truncated at the first N whose exact tail bound
-    sum_{i>N} sum_j (j+1) * density is <= tol (each omitted term is at most
-    that row sum); ``core.truncation_index`` finds N on the integer pair of
-    ``lattice._extra_census_tail`` before the sum starts.
+    The omitted terms are summed from the last level.  Write
+    w_k = log2 F^(k-1)(row sums), so log2 Phi_i = log2 sum_x 2^(r w_(i-1), x).
+    Both maps are monotone and move a constant shift c of w to r * c, so
+    lo <= w_2 - w_1 <= hi (``_drift_range``) gives
+    r^(k-1) lo <= w_(k+1) - w_k <= r^(k-1) hi for k >= 1, and for i > N
+    log2 Phi_i - log2 Phi_N lies in [lo, hi] * (r^(N-1) - r^(i-1)) / (1 - r):
+    F is an r-contraction of Hilbert's projective metric, as in
+    ``power_fixed_point``.  Against rho_i, sum_{i>N} rho_i = (q1 - 1) / (p
+    q1 p1^(N-1)), sum_{i>N} rho_i r^(i-1) = (p1 - 1) / (p q1^N), and so
+    sum_{i>N} rho_i (r^(N-1) - r^(i-1)) / (1 - r) = 1 / (p q1^(N-1)).  The
+    omitted terms therefore lie in
+    sum_{i>N} rho_i log_m Phi_N + [lo, hi] / (log2(m) p q1^(N-1)).
+    ``value`` adds the lower end, and ``tail_bound`` is the width, so the
+    series lies in [value, value + tail_bound] up to the float error of the
+    summed terms.  The width falls like q1^-N and depends on the matrix
+    through hi - lo, which is 0 up to its float margin when all row sums
+    are equal.  ``core.truncation_index`` finds the first N >= 2 whose
+    width is <= tol before the sum starts, exactly on the integer part
+    p q1^(N-1) and on an upper bound of the float factor (``_drift_range``).
     """
     if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
         raise InvalidSystemError(
             f"divisible-general series called on {sys.case_tag.value} system; "
             "degenerate systems use the sublattice reduction"
         )
-    N, (tail_num, tail_den) = truncation_index(lambda i: _extra_census_tail(i, sys), 2, tol)
+    lo, width = _drift_range(sys)
+    N, (tail_num, tail_den) = truncation_index(lambda i: _limit_tail(i, sys, width), 2, tol)
     log2_m = math.log2(sys.m)
     total = float(chain_density(1, 1, sys))
     contributions = []
@@ -265,6 +327,9 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         contributions.append(
             {"i": i, "weight": weight, "t_phi": t_phi, "contribution": term}
         )
+    # rho_den is now p q1 p1^(N-1), so (q1 - 1) / rho_den = sum_{i>N} rho_i
+    total += (sys.q1 - 1) / rho_den * (math.log2(t_phi) / log2_m)
+    total += lo / log2_m * (1 / (sys.p * sys.q1 ** (N - 1)))
     return DimensionReport(
         value=total,
         kind="hausdorff",

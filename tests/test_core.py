@@ -79,6 +79,12 @@ class TestValidateSystem:
         assert s.case_tag is CaseTag.CLASSICAL
         assert s.k_min == 2  # q*k+b must reach 1
 
+    def test_cached_k_min_leaves_identity_alone(self):
+        s, twin = validate_system(2, 3, -4, 1, GOLDEN), validate_system(2, 3, -4, 1, GOLDEN)
+        before = (repr(s), hash(s))
+        assert s.k_min == 3 and "k_min" in vars(s)  # p*k+a must reach 1
+        assert (repr(s), hash(s)) == before and s == twin and "k_min" not in vars(twin)
+
     @given(
         p=st.integers(1, 8),
         q=st.integers(2, 12),

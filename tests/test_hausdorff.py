@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,13 +18,15 @@ from affdim.hausdorff import (
     dimension_degenerate,
     dimension_divisible,
     dimension_nondivisible,
+    limit_tail_bound,
     power_fixed_point,
 )
-from affdim.lattice import weighted_extra_census_tail
+from affdim.hausdorff import _drift_range
 from conftest import (
     BATTERY,
     BIPARTITE4,
     FULL2,
+    FULL3,
     GOLDEN,
     PERIODIC,
     SWAP,
@@ -299,23 +302,140 @@ class TestDivisibleGeneral:
     def test_tail_bound_is_the_last_tail(self):
         s = sys_golden(4, 6, 1, 3)
         report = dimension_divisible(s, tol=1e-9)
-        tail = weighted_extra_census_tail(report.truncation_index, s)
-        assert report.tail_bound == float(tail) <= 1e-9
-        assert float(weighted_extra_census_tail(report.truncation_index - 1, s)) > 1e-9
+        width = limit_tail_bound(report.truncation_index, s)
+        assert report.tail_bound == float(width) <= 1e-9
+        assert limit_tail_bound(report.truncation_index - 1, s) > 1e-9
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize(("p1", "q1"), [(2, 3), (2, 5), (3, 5)])
     def test_truncation_index_matches_reference_scan(self, p1, q1, d):
-        s = sys_golden(d * p1, d * q1, 0, 0)
+        for rows in (GOLDEN, ((1, 1, 0), (0, 1, 1), (1, 1, 1))):
+            s = validate_system(d * p1, d * q1, 0, 0, rows)
 
-        def tail(i):
-            return weighted_extra_census_tail(i, s)
+            def tail(i):
+                return limit_tail_bound(i, s)
 
-        for tol in edge_tolerances(tail, (2, 3, 9, 40)):
-            N, t = reference_truncation(tail, 2, tol)
-            report = dimension_divisible(s, tol=tol)
-            assert (report.truncation_index, report.tail_bound) == (N, float(t)), tol
-            assert [c["i"] for c in report.contributions] == list(range(2, N + 1))
+            for tol in edge_tolerances(tail, (2, 3, 9, 40)):
+                N, t = reference_truncation(tail, 2, tol)
+                report = dimension_divisible(s, tol=tol)
+                assert (report.truncation_index, report.tail_bound) == (N, float(t)), tol
+                assert [c["i"] for c in report.contributions] == list(range(2, N + 1))
+
+
+#: the float error of a summed divisible-general series, which no field
+#: bounds yet: up to about 10 ulp of a value below 1 (32 ulp allowed)
+SERIES_ALLOWANCE = 2.0**-47
+
+
+def series_reference(s, digits: int = 50):
+    """The full divisible-general Hausdorff series in ``digits``-digit
+    mpmath, with exact r = p1/q1, summed until the omitted terms are below
+    10^-(digits - 5): each log_m Phi_i is below q1 / (q1 - p1), and the
+    rho_i beyond the last one sum to rho_i * p1 / (p1 - 1)."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        p, p1, q1, m = s.p, s.p1, s.q1, s.m
+        r = mp.mpf(p1) / q1
+        singles = chain_density(1, 1, s)
+        total = mp.mpf(singles.numerator) / singles.denominator
+        v = [mp.mpf(x) for x in s.matrix.row_sums]
+        rho_den = p * q1
+        for _ in range(100_000):
+            powered = [x**r for x in v]
+            rho_den *= p1
+            rho = mp.mpf((q1 - 1) * (p1 - 1)) / rho_den
+            total += rho * mp.log(mp.fsum(powered), m)
+            if rho * p1 * q1 < mp.mpf(10) ** (5 - digits):
+                return total
+            v = [mp.fsum(compress(powered, row)) for row in s.matrix.rows]
+    raise AssertionError("reference series did not converge")
+
+
+#: matrices of the enclosure battery: golden, swap, a 3-cycle, all-ones,
+#: and random irreducible ones with m = 2..5, zero-diagonal ones included
+def enclosure_matrices():
+    rng = random.Random(20261019)
+    mats = [GOLDEN, SWAP, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), FULL3]
+    mats += [random_irreducible(m, rng).rows for m in (2, 3, 4, 5)]
+    while len(mats) < 10:
+        mat = random_irreducible(rng.randint(3, 5), rng)
+        if not any(mat.rows[x][x] for x in range(mat.m)):
+            mats.append(mat.rows)
+    return mats
+
+
+class TestLimitTail:
+    """The omitted terms are summed from the last level and enclosed by the
+    first step's drift range (``dimension_divisible``)."""
+
+    SYSTEMS = [(2, 3, 0, 0), (2, 5, 0, 1), (4, 6, 1, 3), (3, 7, 1, 0), (6, 10, 0, 2), (5, 12, 2, 1)]
+    TOLS = (1e-8, 1e-12, 1e-15, 1e-300)
+
+    def test_enclosure_holds_the_50_digit_series(self):
+        checked = 0
+        for rows in enclosure_matrices():
+            for pqab in self.SYSTEMS:
+                s = validate_system(*pqab, rows)
+                assert s.case_tag.value == "divisible_general"
+                exact = series_reference(s)
+                for tol in self.TOLS:
+                    report = dimension_divisible(s, tol=tol)
+                    assert report.tail_bound <= tol
+                    assert report.value - SERIES_ALLOWANCE <= exact, (pqab, rows, tol)
+                    assert exact <= report.value + report.tail_bound + SERIES_ALLOWANCE, (pqab, rows, tol)
+                    checked += 1
+        assert checked == 240
+
+    def test_drift_range_holds_the_exact_drift(self):
+        import mpmath as mp
+
+        for rows in enclosure_matrices() + list(PERIODIC):
+            for pqab in self.SYSTEMS:
+                s = validate_system(*pqab, rows)
+                lo, width = _drift_range(s)
+                with mp.workdps(50):
+                    r = mp.mpf(s.p1) / s.q1
+                    sums = s.matrix.row_sums
+                    powered = [mp.mpf(x) ** r for x in sums]
+                    drift = [mp.log(mp.fsum(compress(powered, row)) / sx, 2)
+                             for row, sx in zip(s.matrix.rows, sums)]
+                    assert lo <= min(drift)
+                    assert lo + width * mp.log(s.m, 2) >= max(drift)
+                    # the float margin stays small: 2 * m * 2^-49 and change
+                    spread = (max(drift) - min(drift)) / mp.log(s.m, 2)
+                    assert width - spread <= 2.5 * s.m * 2.0**-49
+
+    @pytest.mark.parametrize(("p1", "q1", "p"), [(2, 3, 2), (2, 5, 4), (3, 4, 3), (5, 7, 10)])
+    def test_drift_weights_sum_to_the_closed_form(self, p1, q1, p):
+        # sum_{i>N} rho_i (r^(N-1) - r^(i-1)) / (1 - r) = 1 / (p q1^(N-1)),
+        # checked against 300 exact terms; each later term is below
+        # rho_i r^(N-1) / (1 - r), and those rho_i sum to rho_M p1 / (p1 - 1)
+        r = Fraction(p1, q1)
+        for N in (2, 3, 7):
+            rho = [Fraction((q1 - 1) * (p1 - 1), p * q1 * p1 ** (i - 1)) for i in range(N + 1, N + 301)]
+            partial = sum(w * (r ** (N - 1) - r ** (i - 1)) / (1 - r)
+                          for i, w in zip(range(N + 1, N + 301), rho))
+            rest = rho[-1] * p1 / (p1 - 1) * r ** (N - 1) / (1 - r)
+            assert partial < Fraction(1, p * q1 ** (N - 1)) <= partial + rest
+
+    @pytest.mark.parametrize("rows", [FULL2, FULL3, SWAP, BIPARTITE4])
+    def test_equal_row_sums_stop_at_the_first_term(self, rows):
+        # F maps a constant vector to a constant vector, so the drift range
+        # is a point and only its float margin is left
+        for pqab in self.SYSTEMS:
+            s = validate_system(*pqab, rows)
+            report = dimension_divisible(s, tol=1e-12)
+            assert report.truncation_index == 2
+            assert report.tail_bound <= 2.5 * s.m * 2.0**-49
+            if rows in (FULL2, FULL3):
+                assert abs(report.value - 1) <= 1e-15
+
+    def test_rejects_wrong_case_and_index(self):
+        with pytest.raises(InvalidSystemError):
+            limit_tail_bound(3, sys_golden(2, 4, 0, 0))
+        with pytest.raises(ValueError):
+            limit_tail_bound(1, sys_golden(2, 3, 0, 0))
 
 
 class TestDegenerate:

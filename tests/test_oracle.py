@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import inspect
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affdim import InvalidSystemError, TransitionMatrix, chain_density, validate_system
+from affdim import InvalidSystemError, NumericalError, TransitionMatrix, chain_density, validate_system
 from affdim import oracle
 from affdim.minkowski import pattern_count_exact
 from affdim.oracle import (
@@ -29,6 +31,32 @@ from affdim.oracle import (
 from conftest import (
     BATTERY, FULL2, GOLDEN, PERIODIC, random_binary_matrix, random_irreducible, sys_full, sys_golden,
 )
+
+
+def lines_run(func, *args):
+    """(lines, result): the source lines of ``func`` that ``func(*args)`` ran."""
+    lines, code, previous = set(), func.__code__, sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        result = func(*args)
+    finally:
+        sys.settrace(previous)
+    return lines, result
+
+
+def line_of(func, text: str) -> int:
+    """The line number of the one source line of ``func`` that holds ``text``."""
+    source, first = inspect.getsourcelines(func)
+    (offset,) = [k for k, line in enumerate(source) if text in line]
+    return first + offset
 
 
 def backward_optimum(weights, matrix) -> float:
@@ -324,6 +352,28 @@ class TestEntropyMaximization:
         opt, mu, words = maximize_chain_entropy(3, weights, golden)
         assert opt == pytest.approx(backward_optimum(weights, golden), abs=1e-9)
         assert stationarity_gap(mu, weights, words, 2) <= 1e-7
+
+    def test_overlong_steps_are_halved(self, golden, monkeypatch):
+        # thirty Newton steps at once overshoot the optimum, so the line
+        # search halves them; the certificate still holds at the end
+        weights = [10, 1e-4, 1e-4]
+        monkeypatch.setattr(oracle, "_newton_direction", lambda *a: 30 * _newton_direction(*a))
+        lines, (opt, mu, words) = lines_run(maximize_chain_entropy, 3, weights, golden)
+        assert line_of(maximize_chain_entropy, "step *= 0.5") in lines
+        assert opt == pytest.approx(backward_optimum(weights, golden), abs=1e-9)
+        assert stationarity_gap(mu, weights, words, 2) <= 1e-7
+
+    def test_step_budget_exhausted(self, golden, monkeypatch):
+        monkeypatch.setattr(oracle, "NEWTON_STEP_BUDGET", 1)
+        with pytest.raises(NumericalError, match="exhausted its iteration budget"):
+            maximize_chain_entropy(3, [10, 1e-4, 1e-4], golden)
+
+    def test_stalls_on_a_direction_that_never_climbs(self, golden, monkeypatch):
+        # the negated Newton direction descends, and f is concave, so every
+        # step length lowers f until the step is below 1e-18
+        monkeypatch.setattr(oracle, "_newton_direction", lambda *a: -1e20 * _newton_direction(*a))
+        with pytest.raises(NumericalError, match="stalled before reaching stationarity"):
+            maximize_chain_entropy(3, [10, 1e-4, 1e-4], golden)
 
     @given(irreducible_matrices(), st.sampled_from([1, 2, 3, 4, 5]), st.randoms(use_true_random=False))
     @settings(max_examples=100, deadline=None, derandomize=True)
