@@ -261,6 +261,14 @@ def limit_tail_bound(upto_i: int, sys: AffineSystem) -> Fraction:
     return Fraction(*_limit_tail(upto_i, sys, _drift_range(sys)[1]))
 
 
+def _singleton_density(sys: AffineSystem) -> float:
+    """float(chain_density(1, 1, sys)) without a Fraction: 1 - 1/p - 1/q +
+    1/(d p1 q1) over the common denominator d p1 q1, as one correctly
+    rounded integer quotient."""
+    den = sys.d * sys.p1 * sys.q1
+    return (den - sys.p1 - sys.q1 + 1) / den
+
+
 def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
     """Series of weighted chain-potential logs for the divisible-general case.
 
@@ -315,7 +323,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     lo, width = _drift_range(sys)
     N, (tail_num, tail_den) = truncation_index(lambda i: _limit_tail(i, sys, width), 2, tol)
     log2_m = math.log2(sys.m)
-    total = float(chain_density(1, 1, sys))
+    total = _singleton_density(sys)
     contributions = []
     rho_num, rho_den = (sys.q1 - 1) * (sys.p1 - 1), sys.p * sys.q1
     for i, powered in zip(range(2, N + 1), _levels(sys.matrix, sys.p1 / sys.q1)):

@@ -243,13 +243,10 @@ def chain_levels(n: int, sys: AffineSystem):
 def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
     """Full orbit length at each chain start of ``chain_levels``, 0 if infinite.
 
-    No walk past the window is needed.  A start s has a successor iff
-    s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.  As in
-    ``chain_levels``, that test is a lookup in a strided boolean mask of the
-    progression p*k + a, k >= k_min, so only the starts with a successor are
-    divided.  The image
-    q*k + b of index k is a + d*(q1*k + c) in the divisible case, which is
-    again p*k' + a iff p1 divides q1*k + c, that is iff p1 divides
+    No walk past the window and no division is needed.  A start s has a
+    successor iff s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.
+    The image q*k + b of index k is a + d*(q1*k + c) in the divisible case,
+    which is again p*k' + a iff p1 divides q1*k + c, that is iff p1 divides
     w(k) = (q1 - p1)*k + c; then k' = k + w(k)/p1 and w(k') = (q1/p1)*w(k).
     The first pair increases, so w > 0 and k' > k >= k_min: every such step
     is taken.  Since q1 is prime to p1, each step removes exactly one factor
@@ -257,24 +254,39 @@ def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
     counting how often p1 divides; with p1 = 1 every step is taken and the
     orbit is infinite.  In the non-divisible case d never divides the image
     minus a, so the orbit is the pair {s, q*k0 + b}.
+
+    The lengths are counted per position, by strided slices, up to the
+    largest start: each position starts at 1, the progression p*k + a with
+    k >= k_min adds 1, and for e = 1, 2, ... the positions whose w(k) is
+    divisible by p1^e add 1 more.  As q1 - p1 is prime to p1, those k form
+    the class k = -c * (q1 - p1)^-1 mod p1^e, a progression of step
+    p * p1^e from its first member k >= k_min.  Since w(k) >= p1^e on it,
+    its first member passes the largest start after O(log n) values of e.
+    Orbits are shorter than 70 positions wherever the walk stays in int64,
+    so the counts, and the returned lengths, are uint8.
     """
     import numpy as np
 
-    progression = np.zeros(int(starts.max(initial=0)) + 1, dtype=bool)
-    progression[sys.p * sys.k_min + sys.a :: sys.p] = True
-    has_next = progression[starts]
-    del progression
+    p, a, k_min = sys.p, sys.a, sys.k_min
+    top = int(starts.max(initial=0))
+    counts = np.ones(top + 1, dtype=np.uint8)
     if _infinite_orbits(sys):
-        return np.where(has_next, 0, 1)
-    full = has_next.astype(np.int64) + 1
+        counts[p * k_min + a :: p] = 0
+        return counts[starts]
+    counts[p * k_min + a :: p] += 1
     if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
-        ids = np.flatnonzero(has_next)
-        w = (sys.q1 - sys.p1) * ((starts[ids] - sys.a) // sys.p) + sys.c
-        while len(ids):
-            divides = w % sys.p1 == 0
-            ids, w = ids[divides], w[divides] // sys.p1
-            full[ids] += 1
-    return full
+        p1, slope, c = sys.p1, sys.q1 - sys.p1, sys.c
+        modulus = p1
+        while True:
+            k = k_min + (-c * pow(slope, -1, modulus) - k_min) % modulus
+            first = p * k + a
+            if first > top:
+                break
+            # a step past the array leaves one member; capping it keeps the
+            # slice within the index range
+            counts[first :: min(p * modulus, top + 1)] += 1
+            modulus *= p1
+    return counts[starts]
 
 
 def chain_walk(n: int, sys: AffineSystem) -> ChainWalk:

@@ -8,8 +8,8 @@ p/q, finite chains in the divisible-general case read the powered levels of
 (p1 = 1) use the fixed-point Markov measure.  The window prefix measure is
 the product of the per-chain measures of the restricted words, so sampled
 prefixes are admissible by construction.
-Drawing and scoring share one pass over lattice's level walk, reading one
-table of laws indexed by (family, level, previous letter).
+Drawing and scoring read one table of laws indexed by (family, level,
+previous letter) over the levels of lattice's walk, through one log2 step.
 """
 
 from __future__ import annotations
@@ -88,13 +88,24 @@ def pair_measure(sys: AffineSystem) -> ChainMeasure:
     return ChainMeasure(length=2, first=first, transitions=(_row_laws(sys, [1.0] * sys.m),))
 
 
-def _chain_laws(sys: AffineSystem, count: int) -> list[tuple]:
-    """(first-letter law, transition rows) weighted by each of the first
+def _chain_laws(sys: AffineSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first-letter laws, transition rows) weighted by each of the first
     ``count`` levels of the chain stream: all ones, then the powered levels
-    P_0, P_1, ... of ``_levels`` at r = p1/q1.  Each level's laws are formed
-    once, whatever the number of chain lengths that read them."""
-    weights = chain([[1.0] * sys.m], _levels(sys.matrix, sys.p1 / sys.q1))
-    return [(_normalized(w), _row_laws(sys, w)) for w in islice(weights, count)]
+    P_0, P_1, ... of ``_levels`` at r = p1/q1.  Row s of the first array
+    is the stream level s normalized, and [s, x] of the second is row x of
+    A·diag(stream level s) normalized.  Each level's laws are formed once,
+    whatever the number of chain lengths that read them, in one numpy pass.
+    Every law is divided by the last entry of its ``np.cumsum``, which adds
+    left to right as ``_normalized``'s ``sum`` does, so the floats are those
+    of ``_normalized`` and ``_row_laws``."""
+    import numpy as np
+
+    weights = np.array(
+        list(islice(chain([[1.0] * sys.m], _levels(sys.matrix, sys.p1 / sys.q1)), count))
+    )
+    rows = np.array(sys.matrix.rows) * weights[:, None, :]
+    firsts = weights / np.cumsum(weights, axis=1)[:, -1:]
+    return firsts, rows / np.cumsum(rows, axis=2)[..., -1:]
 
 
 def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
@@ -116,11 +127,11 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
         )
     if i < 1:
         raise ValueError(f"chain measure is defined for lengths >= 1, got {i}")
-    laws = _chain_laws(sys, i)
+    firsts, rows = _chain_laws(sys, i)
     return ChainMeasure(
         length=i,
-        first=laws[-1][0],
-        transitions=tuple(rows for _, rows in reversed(laws[:-1])),
+        first=tuple(firsts[-1].tolist()),
+        transitions=tuple(tuple(map(tuple, level)) for level in rows[-2::-1].tolist()),
     )
 
 
@@ -139,14 +150,22 @@ class PrefixMeasure:
     """Product measure over the chains meeting a window of size n.
 
     Supports seeded sampling of admissible prefixes and evaluation of
-    -log_m probability for arbitrary words, in one shared pass over the
-    levels of ``chain_levels``: a chain's letter at level j follows its
-    family's law at level j given its letter at level j - 1.
+    -log_m probability for arbitrary words over the levels of
+    ``chain_levels``: a chain's letter at level j follows its family's law
+    at level j given its letter at level j - 1.
 
     The build fixes everything a draw would otherwise recompute.  The law
-    table is filled from one pass of ``_chain_laws`` in the divisible-general
-    case, and each level stores every chain's row base: its family's first
-    row plus the level offset.  A draw then only adds the previous letter.
+    table is filled from the arrays of ``_chain_laws`` in the
+    divisible-general case.  The positions are kept in level order: one
+    permutation of the 0-based positions (level 0, then level 1, and so
+    on), the row base of each in that order (its family's first row plus
+    the level offset), each level's slice bounds, and the mask of the
+    chains that go on to the next level.  A draw gathers its variates into
+    level order once and works on each level's contiguous slice, adding
+    only the previous letters to the bases.  Scoring knows every letter, so
+    it finds all previous letters in one pass.  Both then take the log2
+    terms in one gather and scatter them back to position order once, with
+    the letters of a draw.
     """
 
     def __init__(self, sys: AffineSystem, n: int):
@@ -157,12 +176,26 @@ class PrefixMeasure:
         m = sys.m
         levels = chain_levels(n, sys)
         starts, more = next(levels)
-        # one family per full length; infinite orbits (length 0) carry "inf"
+        # one family per full length from the shortest orbit to the longest;
+        # infinite orbits (length 0) carry "inf"
         lengths = orbit_lengths(starts, sys)
-        keys = np.flatnonzero(np.bincount(lengths))
-        # 0-based positions of each level and the chains that go on from it
-        walked = [(starts - 1, more)] + [(pos - 1, more) for pos, more in levels]
-        depth = len(walked)
+        shortest = int(lengths.min())
+        keys = np.arange(shortest, int(lengths.max()) + 1)
+        # every position lies on one level, so the 0-based positions in
+        # level order are a permutation; level j is order[lo:hi], and
+        # goes_on[lo:hi] masks its chains whose next member is on level
+        # j + 1, order[hi:end]
+        order = np.empty(n, dtype=np.int64)
+        goes_on = np.empty(n, dtype=bool)
+        bounds = []
+        hi = 0
+        for pos, more in chain([(starts, more)], levels):
+            lo, hi = hi, hi + len(pos)
+            np.subtract(pos, 1, out=order[lo:hi])
+            goes_on[lo:hi] = more
+            bounds.append((lo, hi, hi + int(np.count_nonzero(more))))
+        del starts, pos, more
+        depth = len(bounds)
         # laws[f, j, x] is the law of the letter at level j after letter x;
         # level 0 repeats the first-letter law, as it has no previous letter
         laws = np.zeros((len(keys), depth, m, m))
@@ -171,10 +204,9 @@ class PrefixMeasure:
             # letter at level j from stream level i - 1 - j; rows[s] holds
             # the rows of stream level s - 1, and rows[0] the zero law past
             # the chain's end
-            stream = _chain_laws(sys, int(keys[-1]))
-            firsts = np.array([first for first, _ in stream])
-            rows = np.zeros((len(stream) + 1, m, m))
-            rows[1:] = [level_rows for _, level_rows in stream]
+            firsts, stream_rows = _chain_laws(sys, int(keys[-1]))
+            rows = np.zeros((len(firsts) + 1, m, m))
+            rows[1:] = stream_rows
             laws[:, 0] = firsts[keys - 1, None]
             laws[:, 1:] = rows[np.maximum(keys[:, None] - np.arange(1, depth), 0)]
         else:
@@ -193,16 +225,19 @@ class PrefixMeasure:
         # a variate u < 1 never reaches the last entry, so it is not compared
         self._cdf_columns = cdf.T[:-1].copy()
         self._log2 = np.where(laws > 0, np.log2(np.maximum(laws, 1e-300)), -np.inf).ravel()
-        # flat row (f*depth + j)*m + x holds laws[f, j, x]; a chain's base at
-        # level j is (f*depth + j)*m, and the table is far smaller than 2**31
-        first_row = np.zeros(keys[-1] + 1, dtype=np.int32)
-        first_row[keys] = np.arange(len(keys)) * (depth * m)
-        base = first_row[lengths]
-        del lengths, first_row
-        self._levels = []
-        for idx, more in walked:
-            self._levels.append((idx, base, more))
-            base = base[more] + m
+        # flat row (f*depth + j)*m + x holds laws[f, j, x]; the base of a
+        # chain of family f = length - shortest at level j is (f*depth + j)*m,
+        # and the table is far smaller than 2**31
+        base = np.empty(n, dtype=np.int32)
+        lo, hi, _ = bounds[0]
+        np.multiply(lengths - shortest, depth * m, out=base[lo:hi], dtype=np.int32)
+        del lengths
+        for lo, hi, end in bounds:
+            np.add(base[lo:hi].compress(goes_on[lo:hi]), m, out=base[hi:end])
+        self._order = order
+        self._base = base
+        self._more = goes_on
+        self._levels = bounds
 
     def _measure_for(self, key) -> ChainMeasure:
         sys = self.sys
@@ -216,20 +251,22 @@ class PrefixMeasure:
             f"no measure family for finite chain length {key} in case {sys.case_tag.value}"
         )
 
-    def _walk(self, pick) -> np.ndarray:
-        """Per-position log2 probabilities over one pass of the levels, where
-        ``pick(rows, idx)`` gives the letters at 0-based positions ``idx``."""
+    def _log2_terms(self, lets, previous) -> np.ndarray:
+        """Per-position log2 probabilities of the level-ordered letters
+        ``lets``, each read from its chain's row after ``previous``, the
+        letter before it on its chain (0 on level 0), scattered back to
+        position order."""
         import numpy as np
 
-        m = self.sys.m
-        log2p = np.empty(self.n)
-        previous = None  # level 0 has no previous letter
-        for idx, base, more in self._levels:
-            rows = base if previous is None else base + previous
-            lets = pick(rows, idx)
-            log2p[idx] = self._log2[rows * m + lets]
-            previous = lets[more]
-        return log2p
+        # int64 indices: take copies narrower ones to int64 first
+        idx = np.add(self._base, previous, dtype=np.int64)
+        idx *= self.sys.m
+        idx += lets
+        log2p = self._log2.take(idx)
+        del idx
+        by_position = np.empty(self.n)
+        by_position[self._order] = log2p
+        return by_position
 
     def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Draw one admissible prefix; returns (letters, -log2 probability).
@@ -240,19 +277,22 @@ class PrefixMeasure:
         """
         import numpy as np
 
-        u = rng.random(self.n)
-        letters = np.empty(self.n, dtype=np.int64)
-
-        def draw(rows, idx):
-            take = u[idx]
-            # the narrowest letter type keeps the full-width first level small
-            lets = np.zeros(len(idx), dtype=np.min_scalar_type(self.sys.m - 1))
+        u = rng.random(self.n).take(self._order)
+        # the narrowest letter type keeps the level-ordered letters small
+        lets = np.zeros(self.n, dtype=np.min_scalar_type(self.sys.m - 1))
+        previous = np.zeros_like(lets)
+        for lo, hi, end in self._levels:
+            rows = np.add(self._base[lo:hi], previous[lo:hi], dtype=np.int64)
+            out, take = lets[lo:hi], u[lo:hi]
             for column in self._cdf_columns:
-                lets += column[rows] <= take
-            letters[idx] = lets
-            return lets
-
-        return letters, -float(self._walk(draw).sum())
+                out += column.take(rows) <= take
+            out.compress(self._more[lo:hi], out=previous[hi:end])
+        del u, rows, take  # before the log2 terms, which need n-long arrays
+        neg_log2 = -float(self._log2_terms(lets, previous).sum())
+        # scattered in the narrow type, which moves fewer bytes
+        letters = np.empty_like(lets)
+        letters[self._order] = lets
+        return letters.astype(np.int64), neg_log2
 
     def neg_log_prob(self, word) -> float:
         """-log_m of the prefix probability of ``word`` (inf if excluded)."""
@@ -264,7 +304,14 @@ class PrefixMeasure:
         m = self.sys.m
         if word.min() < 0 or word.max() >= m:
             raise ValueError(f"letters must lie in [0, {m}), got {word.min()}..{word.max()}")
-        return -float(self._walk(lambda rows, idx: word[idx]).sum()) / math.log2(m)
+        # in level order and the draws' narrow type, which moves fewer bytes
+        lets = word.astype(np.min_scalar_type(m - 1)).take(self._order)
+        # the letters are known, so every level's previous letters come from
+        # one pass: the chains that go on, level by level, are the next
+        # levels in order (the last level's mask is all False)
+        previous = np.zeros_like(lets)
+        lets.compress(self._more, out=previous[self._levels[0][1] :])
+        return -float(self._log2_terms(lets, previous).sum()) / math.log2(m)
 
 
 def sample_prefix(sys: AffineSystem, n: int, seed: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affdim import InvalidSystemError, NumericalError, TransitionMatrix, chain_density, validate_system
+from affdim import CaseTag, InvalidSystemError, NumericalError, TransitionMatrix, chain_density, validate_system
 from affdim import minkowski
 from affdim.hausdorff import (
     chain_potential,
@@ -21,7 +21,7 @@ from affdim.hausdorff import (
     limit_tail_bound,
     power_fixed_point,
 )
-from affdim.hausdorff import _drift_range
+from affdim.hausdorff import _drift_range, _singleton_density
 from conftest import (
     BATTERY,
     BIPARTITE4,
@@ -243,6 +243,23 @@ class TestDivisibleGeneral:
         # supported independently by the Monte Carlo check in test_measures
         assert report.value == pytest.approx(0.869825, abs=1e-6)
         assert report.tail_bound <= 1e-10
+
+    def test_singleton_density_is_the_rounded_fraction(self):
+        # one integer quotient gives the float of the four-Fraction sum,
+        # also where the ints are far past the float range
+        systems = [
+            (p, q, a, b)
+            for p in range(2, 13)
+            for q in range(p + 1, 40)
+            for a, b in ((0, 0), (1, 1 + math.gcd(p, q)))
+        ] + [(2 * 10**30 + 2, 3 * 10**30 + 3, 0, 0), (6 * 7**200, 6 * 11**200, 0, 6)]
+        checked = 0
+        for pqab in systems:
+            s = sys_golden(*pqab)
+            if s.case_tag is CaseTag.DIVISIBLE_GENERAL:
+                assert _singleton_density(s) == float(chain_density(1, 1, s)), pqab
+                checked += 1
+        assert checked > 200
 
     def test_full_matrix_is_one(self):
         report = dimension_divisible(sys_full(2, 3, 0, 0), tol=1e-11)

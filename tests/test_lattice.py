@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affdim import (
@@ -235,6 +235,26 @@ class TestChainWalk:
         assert walk.window.tolist() == [c.window_count for c in chains]
         assert walk.full_length.tolist() == [c.full_length for c in chains]
         assert walk.truncated.tolist() == [c.truncated for c in chains]
+
+    @given(
+        st.tuples(st.integers(1, 6), st.integers(2, 13), st.integers(0, 5), st.integers(0, 5))
+        .filter(lambda t: t[0] < t[1]),
+        st.integers(1, 5000),
+    )
+    @example((3, 5, 1, 0), 5000)  # p1 = 3 and c = -1
+    @example((4, 10, 5, 1), 5000)  # p1 = 2 and c = -2
+    @example((5, 13, 5, 2), 5000)  # p1 = 5 and c = -3
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_orbit_lengths_equal_decompose(self, pqab, n):
+        # the strided count per position against the scalar walk past the
+        # window; an infinite orbit has length 0
+        s = sys_golden(*pqab)
+        assume(first_pair_increases(s))
+        starts, _ = next(chain_levels(n, s))
+        chains = decompose(n, s).chains
+        assert orbit_lengths(starts, s).tolist() == [
+            0 if c.truncated else c.full_length for c in chains
+        ]
 
     @pytest.mark.parametrize(("pqab", "n"), [((2, 10**18 + 1, 0, 0), 100), ((2, 3, 0, 10**19), 10)])
     def test_refuses_windows_past_int64(self, pqab, n):

@@ -1,14 +1,16 @@
 import hashlib
 import math
 import random
+from itertools import chain, islice
 
 import numpy as np
 import pytest
 
 from affdim import CaseTag, InvalidSystemError, chain_density, decompose, validate_system
-from affdim.hausdorff import chain_potential, dimension as dim_h
+from affdim.hausdorff import _levels, chain_potential, dimension as dim_h
 from affdim.measures import (
     PrefixMeasure,
+    _chain_laws,
     chain_measure,
     empirical_local_dimension,
     letter_measure,
@@ -182,6 +184,36 @@ class TestChainMeasure:
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+class TestChainLaws:
+    @staticmethod
+    def reference(s, count):
+        """The laws of the first ``count`` stream levels as Python floats,
+        each normalized by Python's left-to-right ``sum``."""
+        def normalized(weights):
+            total = sum(weights)
+            return [w / total for w in weights]
+
+        stream = islice(chain([[1.0] * s.m], _levels(s.matrix, s.p1 / s.q1)), count)
+        return [
+            (normalized(w), [normalized([a * wy for a, wy in zip(row, w)]) for row in s.matrix.rows])
+            for w in stream
+        ]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_arrays_equal_python_sums(self, m):
+        # the cumsum's last column adds left to right as sum() does, so the
+        # array laws are bit-equal to the per-level tuples
+        rng = random.Random(1900 + m)
+        for _ in range(12):
+            pqab = rng.choice([(2, 3, 0, 0), (3, 5, 1, 2), (2, 5, 1, 0), (3, 8, 2, 0), (4, 6, 1, 3)])
+            s = validate_system(*pqab, random_irreducible(m, rng))
+            count = rng.randint(1, 30)
+            firsts, rows = _chain_laws(s, count)
+            expected = self.reference(s, count)
+            assert firsts.tolist() == [first for first, _ in expected]
+            assert rows.tolist() == [level_rows for _, level_rows in expected]
+
+
 class TestStationaryMeasure:
     def test_rows_are_stochastic(self):
         mu = stationary_chain_measure(sys_golden(1, 2, 0, 0))
@@ -271,6 +303,32 @@ class TestSampling:
         letters = sample_prefix(validate_system(*pqab, rows), 5000, seed=11)
         text = "".join(str(int(v)) for v in letters)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "pqab, n, neg_log2, local",
+        [
+            ((1, 2, 0, 0), 37, "0x1.d9d721319be47p+4", ("0x1.9f6bf304eadd5p-1", "0x1.b807e000ab92ep-7")),
+            ((1, 2, 0, 0), 50_000, "0x1.3dcc1dc5d807cp+15", ("0x1.9f610c72f2ed5p-1", "0x1.90d2b9ec3261dp-12")),
+            ((2, 4, 0, 0), 37, "0x1.0cd65c59620e3p+5", ("0x1.d104155c56952p-1", "0x1.255a9555c7b8bp-7")),
+            ((2, 4, 0, 0), 50_000, "0x1.6210bc301692cp+15", ("0x1.cf815518f3c8fp-1", "0x1.02d062515df86p-12")),
+            ((2, 4, 0, 1), 37, "0x1.071a8a7cde05ap+5", ("0x1.ce04652b037f5p-1", "0x1.2bc8ca3fe85d7p-6")),
+            ((2, 4, 0, 1), 50_000, "0x1.5a4aaa47ce785p+15", ("0x1.c576196f67430p-1", "0x1.33b61b2f7d4dbp-12")),
+            ((2, 3, 0, 0), 37, "0x1.044fcd91a0838p+5", ("0x1.c6d1ce8e47286p-1", "0x1.cabd830e6fc98p-7")),
+            ((2, 3, 0, 0), 50_000, "0x1.5427901e75b20p+15", ("0x1.bd45530f5838ep-1", "0x1.e39e8c31c02cap-14")),
+            ((4, 6, 1, 3), 37, "0x1.16041ad38c08dp+5", ("0x1.e373cdcbb202fp-1", "0x1.b55dd1b9d3468p-7")),
+            ((4, 6, 1, 3), 50_000, "0x1.6d6b6f1948c8ep+15", ("0x1.deb66962e216fp-1", "0x1.f1fa55b84202ap-13")),
+        ],
+    )
+    def test_float_bits_pinned(self, pqab, n, neg_log2, local):
+        # float.hex of the draw's -log2 P (seed 11) and of the local
+        # dimension's (mean, stderr) (seed 3, 4 samples), one system per case
+        # tag, recorded while the draw walked the positions level by level
+        # through per-level index arrays
+        s = sys_golden(*pqab)
+        _, value = PrefixMeasure(s, n).sample(np.random.default_rng(11))
+        assert value.hex() == neg_log2
+        mean, stderr = empirical_local_dimension(s, n, seed=3, samples=4)
+        assert (mean.hex(), stderr.hex()) == local
 
     @pytest.mark.parametrize("system", SAMPLED_SYSTEMS)
     @pytest.mark.parametrize("n", [10, 1000, 50_000])
