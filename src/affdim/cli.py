@@ -97,18 +97,24 @@ def cmd_decompose(args) -> None:
     )
 
 
-def cmd_count(args) -> None:
-    system = load_system(args.system)
-    log_ratio = minkowski.empirical_dimension(args.n, system)
-    # refuse before building a count that Python would not print; the spare
-    # digit covers the float error of the estimate
-    digits = log_ratio * args.n * math.log10(system.m)
+def _printable_log_ratio(n: int, system) -> float:
+    """log_m of the window-n pattern count over n, refusing before the count
+    is built when Python would not print it; the spare digit covers the
+    float error of the estimate."""
+    log_ratio = minkowski.empirical_dimension(n, system)
+    digits = log_ratio * n * math.log10(system.m)
     limit = _sys.get_int_max_str_digits()
     if limit and digits > limit + 1:
         raise InvalidSystemError(
-            f"the count at n = {args.n} has about {digits:.4g} decimal digits, "
+            f"the count at n = {n} has about {digits:.4g} decimal digits, "
             f"past the {limit}-digit limit of int-to-string conversion"
         )
+    return log_ratio
+
+
+def cmd_count(args) -> None:
+    system = load_system(args.system)
+    log_ratio = _printable_log_ratio(args.n, system)
     _emit(
         {
             "command": "count",
@@ -121,8 +127,11 @@ def cmd_count(args) -> None:
 
 def cmd_verify(args) -> None:
     system = load_system(args.system)
-    oracle_counts = oracle.brute_force_counts_upto(args.max_n, system)
+    # refuse what the closed form refuses, or would not print, before the
+    # enumeration runs
+    _printable_log_ratio(args.max_n, system)
     top = minkowski.pattern_count_exact(args.max_n, system)
+    oracle_counts = oracle.brute_force_counts_upto(args.max_n, system)
     formula_counts = minkowski.pattern_counts_upto(args.max_n, system)
     # the running product must reach the census route's count at the top window
     if formula_counts[-1] != top:

@@ -7,10 +7,16 @@ constraint is a forbidden-word set over its positions; a pair (u, v) forbids
 the words (x, y) with A[x][y] = 0.  The count is a dense transfer over the
 frontier, the positions still awaited by a later constraint: a flat list of
 exact Python ints indexed by the base-m code of the frontier letters, with
-the earliest position as the lowest digit.  Each position masks the list
+the earliest position as the lowest digit, times one exact factor.  A free
+position, which no constraint checks or awaits, multiplies the factor by m
+and leaves the list alone.  A lone check with one earlier position that
+leaves the frontier at once (a pair u != v that nothing later needs) is
+folded into that position's sum-out: each letter at t adds up the slices
+of the letters allowed before it.  Every other position masks the list
 once per letter, appends its letter as the top digit or sums it away, and
-sums out the positions that leave the frontier, all by list slices and
-``map`` in pure Python (no numpy, and counts past any fixed width).
+sums out the positions that leave the frontier.  All of it runs by list
+slices and ``map`` in pure Python (no numpy, and counts past any fixed
+width).
 ``maximize_chain_entropy`` numerically maximizes weighted marginal entropies
 over the probability simplex on admissible words, by damped Newton steps
 whose linear systems are solved exactly along the words' prefix tree.  It
@@ -96,8 +102,10 @@ def brute_force_count(
     of counts, one per assignment of letters to the frontier (the positions
     still awaited by a later constraint); at each t every constraint becomes
     a 0/1 mask per letter over that vector, and the positions leaving the
-    frontier are summed out.  "dfs" is the plain recursive enumeration with
-    early pruning, tried letter by letter, the slow reference.
+    frontier are summed out; ``_frontier_counts`` skips the masks where a
+    position is free or its one check folds into a sum-out.  "dfs" is the
+    plain recursive enumeration with early pruning, tried letter by letter,
+    the slow reference.
     """
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
@@ -194,25 +202,66 @@ def _letter_masks(m: int, width: int, checks) -> list[list[int] | None]:
     return masks
 
 
-def _sum_out(states: list[int], m: int, digit: int) -> list[int]:
-    """Sum a state vector over the letter at frontier slot ``digit``, by
-    strided slices or by contiguous blocks, whichever takes fewer Python
-    iterations.  The oldest slot (digit 0) is one pass over m slices of
-    step m."""
+def _digit_slices(states: list[int], m: int, digit: int) -> list[list[int]]:
+    """The m parts of a state vector whose letter at frontier slot ``digit``
+    is 0, ..., m - 1, each indexed by the other slots in their order.  They
+    are cut by strided slices or by contiguous blocks, whichever takes fewer
+    Python iterations; the oldest slot (digit 0) gives m slices of step m
+    and the newest m contiguous blocks."""
     block = m**digit
     stride = block * m
     if len(states) // stride < block:
-        out = []
+        parts: list[list[int]] = [[] for _ in range(m)]
         for base in range(0, len(states), stride):
-            out += _add(states[base + x * block : base + (x + 1) * block] for x in range(m))
-        return out
-    out = [0] * (len(states) // m)
+            for x, part in enumerate(parts):
+                part += states[base + x * block : base + (x + 1) * block]
+        return parts
+    if block == 1:
+        return [states[x::m] for x in range(m)]
+    parts = [[0] * (len(states) // m) for _ in range(m)]
     for low in range(block):
-        out[low::block] = _add(states[low + x * block :: stride] for x in range(m))
-    return out
+        for x, part in enumerate(parts):
+            part[low::block] = states[low + x * block :: stride]
+    return parts
+
+
+def _sum_out(states: list[int], m: int, digit: int) -> list[int]:
+    """Sum a state vector over the letter at frontier slot ``digit``."""
+    return list(_add(_digit_slices(states, m, digit)))
+
+
+def _fold(states: list[int], m: int, digit: int, banned: dict, top: bool) -> list[int]:
+    """The step of a lone check whose one earlier position sits at slot
+    ``digit`` and leaves the frontier at t: each letter y at t gets the sum
+    of the slices whose letter x at that slot is allowed before y.  With t
+    as the new top digit these sums are concatenated in letter order;
+    otherwise each slice counts once per letter it allows.  This is the
+    mask, the concatenation or sum, and ``_sum_out`` in one pass."""
+    parts = _digit_slices(states, m, digit)
+    zeros = [0] * len(parts[0])
+    if top:
+        states = []
+        for y in range(m):
+            states += _add([part for x, part in enumerate(parts)
+                            if y not in banned.get((x,), ())] or [zeros])
+        return states
+    weighted = []
+    for x, part in enumerate(parts):
+        weight = m - len(banned.get((x,), ()))
+        if weight:
+            weighted.append(part if weight == 1 else map(weight.__mul__, part))
+    return list(_add(weighted or [zeros]))
 
 
 def _frontier_counts(n: int, sys: AffineSystem, extras: list[Constraint]) -> list[int]:
+    """The admissible-word count of every window {1..t}, t = 1..n.
+
+    The counts live in ``factor * states``.  A free position t, checked by
+    nothing and awaited by nothing, gives every word m continuations, so it
+    only multiplies ``factor`` by m.  A lone check of one earlier position
+    whose slot leaves the frontier at t goes through ``_fold``.  Any other
+    position masks the states per letter, keeps its letter as the top digit
+    or adds the masked copies, and sums out the slots that leave."""
     m = sys.m
     by_max = _build_constraints(n, sys, extras)
 
@@ -236,32 +285,46 @@ def _frontier_counts(n: int, sys: AffineSystem, extras: list[Constraint]) -> lis
             f"window too large: frontier needs m^{max_width + 1} states over {n} steps"
         )
 
-    # states[s]: the number of admissible words on {1..t} whose letters on
-    # the frontier spell s in base m, the earliest position the lowest digit
+    # factor * states[s]: the number of admissible words on {1..t} whose
+    # letters on the frontier spell s in base m, the earliest position the
+    # lowest digit; total = sum(states)
     states = [1]
+    factor = total = 1
     prev_frontier: list[int] = []
     counts = []
     for t in range(1, n + 1):
+        cur_frontier = frontiers[t - 1]
+        top = need_until.get(t, 0) > t  # the letter at t joins as the top digit
+        if t not in by_max and not top:
+            # a free position: nothing is checked at t or waits for it, so
+            # every word gains m letters and the frontier stays as it was
+            factor *= m
+            counts.append(factor * total)
+            continue
         prev_index = {u: i for i, u in enumerate(prev_frontier)}
         # the earlier members of each check sit in the frontier
         checks = [
             (tuple(prev_index[u] for u in others), banned) for others, banned in by_max.get(t, ())
         ]
-        masks = _letter_masks(m, len(prev_frontier), checks)
-        copies = [states if mask is None else map(mul, states, mask) for mask in masks]
-        cur_frontier = frontiers[t - 1]
-        if cur_frontier and cur_frontier[-1] == t:
-            states = []  # the letter at t is the top digit
-            for copy in copies:
-                states += copy
-        else:  # nothing awaits the letter at t: every allowed letter reaches one state
-            states = list(_add(copies))
         kept = set(cur_frontier)
-        for digit in reversed(range(len(prev_frontier))):
-            if prev_frontier[digit] not in kept:
-                states = _sum_out(states, m, digit)
+        lone = checks[0][0] if len(checks) == 1 else ()
+        if len(lone) == 1 and prev_frontier[lone[0]] not in kept:
+            states = _fold(states, m, lone[0], checks[0][1], top)
+        else:
+            masks = _letter_masks(m, len(prev_frontier), checks)
+            copies = [states if mask is None else map(mul, states, mask) for mask in masks]
+            if top:
+                states = []
+                for copy in copies:
+                    states += copy
+            else:  # nothing awaits the letter at t: every allowed letter reaches one state
+                states = list(_add(copies))
+            for digit in reversed(range(len(prev_frontier))):
+                if prev_frontier[digit] not in kept:
+                    states = _sum_out(states, m, digit)
         prev_frontier = cur_frontier
-        counts.append(sum(states))
+        total = sum(states)
+        counts.append(factor * total)
     return counts
 
 

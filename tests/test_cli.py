@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -323,6 +324,24 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-n", max_n, golden_23)
         assert (code, out) == (1, "")
         assert "window size must be >= 1" in err
+
+    def test_refusals_come_before_the_enumeration(self, capsys, tmp_path, monkeypatch):
+        def enumerate_(*args):
+            raise AssertionError("the enumeration ran")
+
+        monkeypatch.setattr(affdim.oracle, "brute_force_counts_upto", enumerate_)
+        # a non-increasing first pair (3, 3) at k = 1, refused by the chain census
+        code, out, err = run(capsys, "verify", "--max-n", "12", system_file(tmp_path, (2, 3, 1, 0)))
+        assert (code, out) == (1, "")
+        assert "non-increasing constraint pair" in err
+        if not 0 < sys.get_int_max_str_digits() < 4514:
+            pytest.skip("2^15000 prints under this interpreter's int-to-string digit limit")
+        # the all-ones matrix admits all 2^15000 words, a count of 4516 digits
+        ones = system_file(tmp_path, (1000, 1001, 0, 0), ((1, 1), (1, 1)))
+        code, out, err = run(capsys, "verify", "--max-n", "15000", ones)
+        assert (code, out) == (1, "")
+        assert re.search(r"the count at n = 15000 has about 4515 decimal digits, past the \d+-digit limit", err)
+        assert "Traceback" not in err
 
 
 class TestSampleAndBillingsley:

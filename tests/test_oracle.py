@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from affdim import InvalidSystemError, NumericalError, TransitionMatrix, chain_density, validate_system
 from affdim import oracle
-from affdim.minkowski import pattern_count_exact
+from affdim.minkowski import pattern_count_exact, pattern_counts_upto
 from affdim.oracle import (
     _dfs_count,
     _newton_direction,
@@ -103,6 +103,15 @@ def irreducible_matrices(draw):
             return matrix
 
 
+def frontier_width(n, s) -> int:
+    """The most positions of {1..t} that a window pair with its later
+    position in {t+1..n} still awaits, over t = 1..n."""
+    until = {}
+    for u, v in window_pairs(n, s):
+        until[min(u, v)] = max(until.get(min(u, v), 0), max(u, v))
+    return max(sum(u <= t < v for u, v in until.items()) for t in range(1, n + 1))
+
+
 def product_count(t, s, extras):
     """The number of the m^t words on {1..t} that satisfy every window pair
     and every extra constraint inside the window, each word checked."""
@@ -120,13 +129,14 @@ def enumeration_cases(draw):
     """(system, window, extra constraints) for the enumeration oracles.
 
     Matrices with m = 2..5 are random, periodic, zero-diagonal or have a zero
-    row.  The oracles read only the pair positions and the matrix rows, so a
-    matrix that ``validate_system`` refuses as reducible is put in with
+    row or a zero column (a letter that no letter may precede).  The oracles
+    read only the pair positions and the matrix rows, so a matrix that
+    ``validate_system`` refuses as reducible is put in with
     ``dataclasses.replace``.  a > b is allowed, so pairs with u > v and u = v
     occur.  Up to three extra constraints have positions in any order,
     repeated or past the window, so a position other than the oldest can
     leave the frontier first."""
-    kind = draw(st.sampled_from(["random", "periodic", "zero-diagonal", "zero-row"]))
+    kind = draw(st.sampled_from(["random", "periodic", "zero-diagonal", "zero-row", "zero-column"]))
     rng = draw(st.randoms(use_true_random=False))
     if kind == "periodic":
         rows = [list(row) for row in draw(st.sampled_from(PERIODIC))]
@@ -136,9 +146,12 @@ def enumeration_cases(draw):
             rows = [[0 if x == y else e for y, e in enumerate(row)] for x, row in enumerate(rows)]
         elif kind == "zero-row":
             rows[rng.randrange(len(rows))] = [0] * len(rows)
+        elif kind == "zero-column":
+            y = rng.randrange(len(rows))
+            rows = [[0 if x == y else e for x, e in enumerate(row)] for row in rows]
     m = len(rows)
     p = draw(st.integers(1, 3))
-    params = (p, draw(st.integers(p + 1, 6)), draw(st.integers(-2, 5)), draw(st.integers(-2, 5)))
+    params = (p, draw(st.integers(p + 1, 9)), draw(st.integers(-2, 5)), draw(st.integers(-2, 5)))
     s = dataclasses.replace(validate_system(*params, [[1] * m] * m),
                             matrix=TransitionMatrix.from_rows(rows))
     top = int(math.log(1 << 14) / math.log(m))  # every window up to n is checked
@@ -288,6 +301,23 @@ class TestBruteForce:
         counts = brute_force_counts_upto(40, s)
         assert counts[-1] > 2**63
         assert counts == [pattern_count_exact(t, s) for t in range(1, 41)]
+
+    def test_running_counts_match_formula_at_verify_sized_windows(self):
+        """Every window up to the largest n <= 60 whose transfer holds at
+        most 200,000 state steps, m^(width + 1) * n, on five systems for each
+        of two matrices per alphabet size m = 2..5."""
+        rng = random.Random(20261019)
+        windows = set()
+        for m in (2, 2, 3, 3, 4, 4, 5, 5):
+            matrix = random_irreducible(m, rng)
+            for pqab in ((1, 2, 0, 0), (1, 3, 1, 0), (2, 3, 0, 0), (2, 4, 0, 1), (3, 5, 1, 2)):
+                s = validate_system(*pqab, matrix)
+                n = 60
+                while m ** (frontier_width(n, s) + 1) * n > 200_000:
+                    n -= 1
+                windows.add(n)
+                assert brute_force_counts_upto(n, s) == pattern_counts_upto(n, s)
+        assert min(windows) < 20 and max(windows) == 60
 
     def test_state_budget_boundary(self, monkeypatch):
         # recorded from the dictionary-of-states enumeration this one replaced
