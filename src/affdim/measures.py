@@ -1,13 +1,14 @@
 """Entropy-optimal measures on chains, product sampling over windows, and
 the Monte Carlo local-dimension estimator.
 
-Every chain carries a measure determined by its full length: singletons are
-uniform, non-divisible pairs weight first letters by row sums to the power
-p/q, finite chains in the divisible-general case read the powered levels of
-``hausdorff._levels`` that the Hausdorff series sums, and infinite chains
-(p1 = 1) use the fixed-point Markov measure.  The window prefix measure is
-the product of the per-chain measures of the restricted words, so sampled
-prefixes are admissible by construction.
+Every chain law is formed by ``_laws`` from one weight vector per level: the
+chain stream (all ones, then the powered levels of ``hausdorff._levels`` at
+r = p1/q1 that the Hausdorff series sums), or for infinite chains (p1 = 1)
+the fixed point of the same map at every level.  So singletons are uniform,
+and a non-divisible pair, the length-2 chain, weights first letters by row
+sums to the power p1/q1 = p/q.  The window prefix measure is the product of
+the per-chain measures of the restricted words, so sampled prefixes are
+admissible by construction.
 Drawing and scoring read one table of laws indexed by (family, level,
 previous letter) over the levels of lattice's walk, through one log2 step.
 """
@@ -67,45 +68,48 @@ def letter_measure(m: int) -> ChainMeasure:
     return ChainMeasure(length=1, first=tuple(1.0 / m for _ in range(m)), transitions=())
 
 
-def _normalized(weights) -> tuple[float, ...]:
-    total = sum(weights)
-    return tuple(w / total for w in weights)
+def _laws(sys: AffineSystem, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(first-letter laws, transition rows) of each row of ``weights``: row
+    s of the first array is weights[s] normalized, and [s, x] of the second
+    is row x of A·diag(weights[s]) normalized.  Every law is divided by the
+    last entry of its ``np.cumsum``, which adds left to right as Python's
+    ``sum`` does."""
+    import numpy as np
+
+    weights = np.array(weights)
+    rows = np.array(sys.matrix.rows) * weights[:, None, :]
+    firsts = weights / np.cumsum(weights, axis=1)[:, -1:]
+    return firsts, rows / np.cumsum(rows, axis=2)[..., -1:]
 
 
-def _row_laws(sys: AffineSystem, w) -> tuple[tuple[float, ...], ...]:
-    """Rows of A·diag(w), each normalized to sum 1."""
-    return tuple(_normalized([a * wy for a, wy in zip(row, w)]) for row in sys.matrix.rows)
+def _stream(sys: AffineSystem, count: int) -> list:
+    """The first ``count`` levels of the chain stream: all ones, then the
+    powered levels P_0, P_1, ... of ``_levels`` at r = p1/q1."""
+    return list(islice(chain([[1.0] * sys.m], _levels(sys.matrix, sys.p1 / sys.q1)), count))
+
+
+def _chain_laws(sys: AffineSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_laws`` of the first ``count`` stream levels.  Each level's laws
+    are formed once, whatever the number of chain lengths that read them."""
+    return _laws(sys, _stream(sys, count))
+
+
+def _as_measure(length: int | None, first: np.ndarray, transitions: np.ndarray) -> ChainMeasure:
+    """A ChainMeasure of one first-letter law and a stack of transition rows."""
+    levels = tuple(tuple(map(tuple, level)) for level in transitions.tolist())
+    return ChainMeasure(length=length, first=tuple(first.tolist()), transitions=levels)
 
 
 def pair_measure(sys: AffineSystem) -> ChainMeasure:
-    """Optimal law on non-divisible pairs: first letters proportional to
-    row_sum^(p/q), successors uniform over admissible continuations."""
+    """Optimal law on non-divisible pairs, the length-2 chain of the stream:
+    first letters proportional to row_sum^(p1/q1), which is row_sum^(p/q)
+    float for float, successors uniform over admissible continuations."""
     if sys.case_tag is not CaseTag.NON_DIVISIBLE:
         raise InvalidSystemError(
             f"pair measure belongs to the non-divisible case, got {sys.case_tag.value}"
         )
-    first = _normalized([r ** (sys.p / sys.q) for r in sys.matrix.row_sums])
-    return ChainMeasure(length=2, first=first, transitions=(_row_laws(sys, [1.0] * sys.m),))
-
-
-def _chain_laws(sys: AffineSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first-letter laws, transition rows) weighted by each of the first
-    ``count`` levels of the chain stream: all ones, then the powered levels
-    P_0, P_1, ... of ``_levels`` at r = p1/q1.  Row s of the first array
-    is the stream level s normalized, and [s, x] of the second is row x of
-    A·diag(stream level s) normalized.  Each level's laws are formed once,
-    whatever the number of chain lengths that read them, in one numpy pass.
-    Every law is divided by the last entry of its ``np.cumsum``, which adds
-    left to right as ``_normalized``'s ``sum`` does, so the floats are those
-    of ``_normalized`` and ``_row_laws``."""
-    import numpy as np
-
-    weights = np.array(
-        list(islice(chain([[1.0] * sys.m], _levels(sys.matrix, sys.p1 / sys.q1)), count))
-    )
-    rows = np.array(sys.matrix.rows) * weights[:, None, :]
-    firsts = weights / np.cumsum(weights, axis=1)[:, -1:]
-    return firsts, rows / np.cumsum(rows, axis=2)[..., -1:]
+    firsts, rows = _chain_laws(sys, 2)
+    return _as_measure(2, firsts[1], rows[:1])
 
 
 def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
@@ -116,8 +120,8 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
     to P_(i-2), the letter after level l < i-1 follows row-normalized
     A·diag(P_(i-2-l)), and the last one is uniform over admissible
     continuations.  These are the laws of ``chain_potential(i)``'s tables,
-    float for float (see ``dimension_divisible``).  They are read from
-    ``_chain_laws``, as ``PrefixMeasure`` reads them.
+    float for float (see ``dimension_divisible``).  They are formed by
+    ``_laws``, as ``PrefixMeasure``'s table is.
     """
     if i == 1:
         return letter_measure(sys.m)
@@ -128,22 +132,19 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
     if i < 1:
         raise ValueError(f"chain measure is defined for lengths >= 1, got {i}")
     firsts, rows = _chain_laws(sys, i)
-    return ChainMeasure(
-        length=i,
-        first=tuple(firsts[-1].tolist()),
-        transitions=tuple(tuple(map(tuple, level)) for level in rows[-2::-1].tolist()),
-    )
+    return _as_measure(i, firsts[-1], rows[-2::-1])
 
 
 def stationary_chain_measure(sys: AffineSystem) -> ChainMeasure:
-    """Markov law on infinite chains (p1 = 1): first letters proportional to
-    the fixed-point vector, transitions weighted by it and row-normalized."""
+    """Markov law on infinite chains (p1 = 1): the ``_laws`` of the fixed
+    point of the stream's map, ``power_fixed_point`` at exponent q1, which
+    weights the first letters and every level's transitions."""
     if sys.p1 != 1 or not sys.divisible:
         raise InvalidSystemError(
             "stationary chain measure requires infinite chains (p1 = 1)"
         )
-    t = power_fixed_point(sys.matrix, sys.q1).values
-    return ChainMeasure(length=None, first=_normalized(t), transitions=(_row_laws(sys, t),))
+    firsts, rows = _laws(sys, [power_fixed_point(sys.matrix, sys.q1).values])
+    return _as_measure(None, firsts[0], rows)
 
 
 class PrefixMeasure:
@@ -155,8 +156,9 @@ class PrefixMeasure:
     at level j given its letter at level j - 1.
 
     The build fixes everything a draw would otherwise recompute.  The law
-    table is filled from the arrays of ``_chain_laws`` in the
-    divisible-general case.  The positions are kept in level order: one
+    table is filled from one ``_laws`` call for every case tag: the stream
+    levels up to the longest finite chain and, when some chain is infinite,
+    the fixed point.  The positions are kept in level order: one
     permutation of the 0-based positions (level 0, then level 1, and so
     on), the row base of each in that order (its family's first row plus
     the level offset), each level's slice bounds, and the mask of the
@@ -197,24 +199,20 @@ class PrefixMeasure:
         del starts, pos, more
         depth = len(bounds)
         # laws[f, j, x] is the law of the letter at level j after letter x;
-        # level 0 repeats the first-letter law, as it has no previous letter
-        laws = np.zeros((len(keys), depth, m, m))
-        if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
-            # length i reads its first letter from stream level i - 1 and the
-            # letter at level j from stream level i - 1 - j; rows[s] holds
-            # the rows of stream level s - 1, and rows[0] the zero law past
-            # the chain's end
-            firsts, stream_rows = _chain_laws(sys, int(keys[-1]))
-            rows = np.zeros((len(firsts) + 1, m, m))
-            rows[1:] = stream_rows
-            laws[:, 0] = firsts[keys - 1, None]
-            laws[:, 1:] = rows[np.maximum(keys[:, None] - np.arange(1, depth), 0)]
-        else:
-            for f, key in enumerate(keys.tolist()):
-                measure = self._measure_for(key or "inf")
-                laws[f, 0] = measure.first
-                for level in range(1, min(depth, measure.length or depth)):
-                    laws[f, level] = measure.transition(level)
+        # level 0 repeats the first-letter law, as it has no previous letter.
+        # Length i reads weight row i - 1 at level 0 and the rows of weight
+        # row i - 1 - j at level j; key 0 reads the last weight row, the
+        # fixed point, at every level.  rows[s] holds the rows of weight row
+        # s - 1, and rows[0] the zero law past the chain's end
+        weights = _stream(sys, int(keys[-1]))
+        if shortest == 0:
+            weights.append(power_fixed_point(sys.matrix, sys.q1).values)
+        firsts, weight_rows = _laws(sys, weights)
+        rows = np.concatenate([np.zeros((1, m, m)), weight_rows])
+        laws = np.empty((len(keys), depth, m, m))
+        laws[:, 0] = firsts[keys - 1, None]
+        finite = np.maximum(keys[:, None] - np.arange(1, depth), 0)
+        laws[:, 1:] = rows[np.where(keys[:, None] == 0, len(firsts), finite)]
         # the table the draws read, kept for inspection: family f is
         # families[f], a full length or "inf"
         self.families = tuple(key or "inf" for key in keys.tolist())
@@ -238,18 +236,6 @@ class PrefixMeasure:
         self._base = base
         self._more = goes_on
         self._levels = bounds
-
-    def _measure_for(self, key) -> ChainMeasure:
-        sys = self.sys
-        if key == 1:
-            return letter_measure(sys.m)
-        if key == "inf":
-            return stationary_chain_measure(sys)
-        if sys.case_tag is CaseTag.NON_DIVISIBLE:
-            return pair_measure(sys)
-        raise InvalidSystemError(
-            f"no measure family for finite chain length {key} in case {sys.case_tag.value}"
-        )
 
     def _log2_terms(self, lets, previous) -> np.ndarray:
         """Per-position log2 probabilities of the level-ordered letters

@@ -136,28 +136,37 @@ def brute_force_counts_upto(
     return _frontier_counts(n, sys, extras)
 
 
-def _build_constraints(n: int, sys: AffineSystem, extras: list[Constraint]):
-    """Schedule every constraint at its latest position t as (others, banned).
+def _banned(pos: tuple[int, ...], words) -> dict[tuple[int, ...], set[int]]:
+    """The letters at the latest of ``pos`` that complete one of ``words``,
+    keyed by the letters at its distinct earlier positions.  A position
+    repeated in ``pos`` (u = v, or an extra such as (1, 1)) is resolved
+    here: a word giving it two letters never occurs and bans nothing."""
+    t = max(pos)
+    others = sorted(set(pos) - {t})
+    banned: dict[tuple[int, ...], set[int]] = {}
+    for word in words:
+        letters: dict[int, int] = {}
+        if all(letters.setdefault(u, x) == x for u, x in zip(pos, word)):
+            banned.setdefault(tuple(letters[u] for u in others), set()).add(letters[t])
+    return banned
 
-    A pair (u, v) forbids the words {(x, y) : A[x][y] = 0}; an extra
-    constraint keeps its own forbidden set.  ``others`` lists the distinct
-    positions of the constraint before t, and ``banned`` maps their letters
-    to the letters at t that complete a forbidden word.  A position repeated
-    in the constraint (u = v, or an extra such as (1, 1)) is resolved here:
-    a word giving it two letters never occurs and bans nothing."""
+
+def _build_constraints(n: int, sys: AffineSystem, extras: list[Constraint]):
+    """Schedule every constraint at its latest position t as (others, banned):
+    the distinct positions before t, and ``_banned``'s table.
+
+    A pair (u, v) forbids the words {(x, y) : A[x][y] = 0}, so its table
+    depends only on the order of u and v: the three are built once, on the
+    stand-in positions (0, 1), (1, 0) and (0, 0), and shared.  An extra
+    constraint keeps its own forbidden set and table."""
     rows = sys.matrix.rows
     pair_words = [(x, y) for x in range(sys.m) for y in range(sys.m) if not rows[x][y]]
-    constraints = [((u, v), pair_words) for u, v in window_pairs(n, sys)] + extras
+    tables = {order: _banned(order, pair_words) for order in ((0, 1), (1, 0), (0, 0))}
+    constraints = [((u, v), tables[int(u > v), int(u < v)]) for u, v in window_pairs(n, sys)]
     by_max: dict[int, list[tuple[tuple[int, ...], dict]]] = {}
-    for pos, words in constraints:
+    for pos, banned in constraints + [(pos, _banned(pos, words)) for pos, words in extras]:
         t = max(pos)
-        others = tuple(sorted(set(pos) - {t}))
-        banned: dict[tuple[int, ...], set[int]] = {}
-        for word in words:
-            letters: dict[int, int] = {}
-            if all(letters.setdefault(u, x) == x for u, x in zip(pos, word)):
-                banned.setdefault(tuple(letters[u] for u in others), set()).add(letters[t])
-        by_max.setdefault(t, []).append((others, banned))
+        by_max.setdefault(t, []).append((tuple(sorted(set(pos) - {t})), banned))
     return by_max
 
 

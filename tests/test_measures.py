@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from affdim import CaseTag, InvalidSystemError, chain_density, decompose, validate_system
-from affdim.hausdorff import _levels, chain_potential, dimension as dim_h
+from affdim.hausdorff import _levels, chain_potential, dimension as dim_h, power_fixed_point
 from affdim.measures import (
     PrefixMeasure,
     _chain_laws,
@@ -97,6 +97,19 @@ class TestPairMeasure:
     def test_rejects_divisible(self):
         with pytest.raises(InvalidSystemError):
             pair_measure(sys_golden(2, 4, 0, 0))
+
+    @pytest.mark.parametrize("d", [2, 3, 10**20 + 39])
+    def test_equals_python_sums_at_p_over_q(self, d):
+        # the length-2 chain of the stream at p1/q1 is the pair law at p/q,
+        # normalized by Python's left-to-right sum
+        for rows in (GOLDEN, MIXED3, SPARSE5):
+            s = validate_system(2 * d, 3 * d, 0, 1, rows)
+            assert s.case_tag is CaseTag.NON_DIVISIBLE
+            weights = [r ** (s.p / s.q) for r in s.matrix.row_sums]
+            first = tuple(w / sum(weights) for w in weights)
+            uniform = tuple(tuple(a / sum(row) for a in row) for row in rows)
+            mu = pair_measure(s)
+            assert (mu.first, mu.transitions) == (first, (uniform,))
 
 
 class TestChainMeasure:
@@ -205,7 +218,10 @@ class TestChainLaws:
         # array laws are bit-equal to the per-level tuples
         rng = random.Random(1900 + m)
         for _ in range(12):
-            pqab = rng.choice([(2, 3, 0, 0), (3, 5, 1, 2), (2, 5, 1, 0), (3, 8, 2, 0), (4, 6, 1, 3)])
+            pqab = rng.choice([
+                (2, 3, 0, 0), (3, 5, 1, 2), (2, 5, 1, 0), (3, 8, 2, 0), (4, 6, 1, 3),
+                (4, 6, 0, 1), (6, 9, 0, 1), (1, 2, 0, 0), (2, 4, 0, 0),
+            ])
             s = validate_system(*pqab, random_irreducible(m, rng))
             count = rng.randint(1, 30)
             firsts, rows = _chain_laws(s, count)
@@ -345,18 +361,36 @@ class TestSampling:
 
 class TestLawTable:
     @staticmethod
-    def expected(family, s):
-        if family == 1:
-            return letter_measure(s.m)
+    def expected(family, s, depth):
+        """The table of ``family`` over ``depth`` levels, every law normalized
+        by Python's left-to-right ``sum``: singletons 1/m, pairs row sums to
+        the power p/q, "inf" the fixed point at every level, and
+        divisible-general lengths the stream of ``TestChainLaws.reference``."""
+        def normalized(weights):
+            total = sum(weights)
+            return [w / total for w in weights]
+
+        def row_laws(w):
+            return [normalized([a * wy for a, wy in zip(row, w)]) for row in s.matrix.rows]
+
+        zero = [[0.0] * s.m] * s.m
         if family == "inf":
-            return stationary_chain_measure(s)
+            t = power_fixed_point(s.matrix, s.q1).values
+            return [[normalized(t)] * s.m] + [row_laws(t)] * (depth - 1)
+        if family == 1:
+            return [[[1 / s.m] * s.m] * s.m] + [zero] * (depth - 1)
         if s.case_tag is CaseTag.NON_DIVISIBLE:
-            return pair_measure(s)
-        return chain_measure(family, s)
+            first = normalized([r ** (s.p / s.q) for r in s.matrix.row_sums])
+            return ([[first] * s.m, row_laws([1.0] * s.m)] + [zero] * depth)[:depth]
+        stream = TestChainLaws.reference(s, family)
+        return [[stream[-1][0]] * s.m] + [
+            stream[family - 1 - j][1] if j < family else zero for j in range(1, depth)
+        ]
 
     def test_rows_equal_the_chain_laws(self):
         # the table is filled from one pass over the chain stream, with the
-        # levels read in reverse; every row must be the family's own law
+        # levels read in reverse; every row must be the family's own law,
+        # formed independently of the table's numpy path
         rng = random.Random(1601)
         tags = set()
         for _ in range(60):
@@ -368,14 +402,7 @@ class TestLawTable:
             pm = PrefixMeasure(s, rng.choice((1, 7, 300, 3000, 20_000)))
             depth = pm.laws.shape[1]
             for f, family in enumerate(pm.families):
-                mu = self.expected(family, s)
-                assert pm.laws[f, 0].tolist() == [list(mu.first)] * s.m
-                for level in range(1, depth):
-                    if mu.length is None or level < mu.length:
-                        rows = [list(row) for row in mu.transition(level)]
-                    else:
-                        rows = [[0.0] * s.m] * s.m
-                    assert pm.laws[f, level].tolist() == rows, (family, level)
+                assert pm.laws[f].tolist() == self.expected(family, s, depth), family
         assert tags == set(CaseTag)
 
 
