@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Reads a system description from JSON, runs one of the subcommands, and
-emits machine-readable reports (JSON, or CSV for sweeps).  Reports embed
-the resolved configuration and the library version so identical invocations
-produce byte-identical output.
+Reads and validates a system description from JSON once, runs one of the
+subcommands on it, and emits machine-readable reports (JSON, or CSV for
+sweeps).  Reports embed the resolved configuration and the library version
+so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 validation or input error, 2 numerical failure.
 """
@@ -18,7 +18,7 @@ import sys as _sys
 from fractions import Fraction
 
 from . import __version__, hausdorff, higher_order, measures, minkowski, oracle
-from .core import InvalidSystemError, NumericalError, _read_json, load_system
+from .core import AffineSystem, InvalidSystemError, NumericalError, _read_json, load_system
 from .lattice import decompose
 
 
@@ -26,12 +26,13 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _config(args: argparse.Namespace, **extra) -> dict:
-    cfg = {"version": __version__, "system": extra.pop("system_dict", None)}
+def _config(args: argparse.Namespace, system: AffineSystem) -> dict:
+    """The report's resolved configuration: the version, the system and the
+    command's options."""
+    cfg = {"version": __version__, "system": system.to_json_dict()}
     for key in ("kind", "tol", "n", "seed", "samples", "max_n", "format"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
-    cfg.update(extra)
     return {k: v for k, v in cfg.items() if v is not None}
 
 
@@ -51,15 +52,13 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
-def cmd_dim(args) -> None:
-    system = load_system(args.system)
+def cmd_dim(args, system: AffineSystem, config: dict) -> None:
     results = {}
     if args.kind in ("minkowski", "both"):
         results["minkowski"] = minkowski.dimension(system, args.tol).to_dict()
     if args.kind in ("hausdorff", "both"):
         report = hausdorff.dimension(system, args.tol)
         results["hausdorff"] = report.to_dict()
-    config = _config(args, system_dict=system.to_json_dict())
     if args.format == "csv":
         print("# affdim", __version__, "dim", json.dumps(config, sort_keys=True))
         print("kind,value,case,truncation_index,tail_bound,tolerance")
@@ -72,8 +71,7 @@ def cmd_dim(args) -> None:
     _emit({"command": "dim", "config": config, "results": results})
 
 
-def cmd_decompose(args) -> None:
-    system = load_system(args.system)
+def cmd_decompose(args, system: AffineSystem, config: dict) -> None:
     dec = decompose(args.n, system)
     for chain in dec.chains:
         _emit(
@@ -87,7 +85,7 @@ def cmd_decompose(args) -> None:
     _emit(
         {
             "command": "decompose",
-            "config": _config(args, system_dict=system.to_json_dict()),
+            "config": config,
             "census": {
                 "L": sorted([i, j, c] for (i, j), c in census.L.items()),
                 "D": sorted([j, c] for j, c in census.D.items()),
@@ -112,21 +110,19 @@ def _printable_log_ratio(n: int, system) -> float:
     return log_ratio
 
 
-def cmd_count(args) -> None:
-    system = load_system(args.system)
+def cmd_count(args, system: AffineSystem, config: dict) -> None:
     log_ratio = _printable_log_ratio(args.n, system)
     _emit(
         {
             "command": "count",
-            "config": _config(args, system_dict=system.to_json_dict()),
+            "config": config,
             "count": minkowski.pattern_count_exact(args.n, system),
             "log_m_count_over_n": log_ratio,
         }
     )
 
 
-def cmd_verify(args) -> None:
-    system = load_system(args.system)
+def cmd_verify(args, system: AffineSystem, config: dict) -> None:
     # refuse what the closed form refuses, or would not print, before the
     # enumeration runs
     _printable_log_ratio(args.max_n, system)
@@ -152,7 +148,7 @@ def cmd_verify(args) -> None:
     _emit(
         {
             "command": "verify",
-            "config": _config(args, system_dict=system.to_json_dict()),
+            "config": config,
             "rows": rows,
             "all_equal": all_equal,
         }
@@ -161,10 +157,9 @@ def cmd_verify(args) -> None:
         raise NumericalError("pattern-count formula disagrees with enumeration")
 
 
-def cmd_sample(args) -> None:
+def cmd_sample(args, system: AffineSystem, config: dict) -> None:
     import numpy as np
 
-    system = load_system(args.system)
     if system.m > 10:
         raise InvalidSystemError(
             f"sample prints one digit per letter, so it needs m <= 10, got m = {system.m}"
@@ -175,27 +170,25 @@ def cmd_sample(args) -> None:
     _emit(
         {
             "command": "sample",
-            "config": _config(args, system_dict=system.to_json_dict()),
+            "config": config,
             "neg_log_prob_per_n": neg_log2 / (args.n * float(np.log2(system.m))),
         }
     )
 
 
-def cmd_billingsley(args) -> None:
-    system = load_system(args.system)
+def cmd_billingsley(args, system: AffineSystem, config: dict) -> None:
     mean, stderr = measures.empirical_local_dimension(system, args.n, args.seed, args.samples)
     _emit(
         {
             "command": "billingsley",
-            "config": _config(args, system_dict=system.to_json_dict()),
+            "config": config,
             "mean": mean,
             "stderr": stderr,
         }
     )
 
 
-def cmd_sweep(args) -> None:
-    system = load_system(args.system)
+def cmd_sweep(args, system: AffineSystem, config: dict) -> None:
     grid = _parse_grid(args.n_grid)
     if args.kind == "hausdorff":
         raise InvalidSystemError(
@@ -204,7 +197,6 @@ def cmd_sweep(args) -> None:
         )
     closed = minkowski.dimension(system, args.tol).value
     results = [(n, minkowski.empirical_dimension(n, system)) for n in grid]
-    config = _config(args, system_dict=system.to_json_dict())
     if args.format == "json":
         _emit(
             {
@@ -223,8 +215,7 @@ def cmd_sweep(args) -> None:
         print(f"{n},{emp!r},{closed!r},{abs(emp - closed)!r}")
 
 
-def cmd_higher_order(args) -> None:
-    system = load_system(args.system)
+def cmd_higher_order(args, system: AffineSystem, config: dict) -> None:
     data = _read_json(args.forbidden, "forbidden-word")
     if not isinstance(data, dict) or not isinstance(data.get("words"), list):
         raise InvalidSystemError('forbidden-word file must be {"words": [...]} ')
@@ -232,7 +223,7 @@ def cmd_higher_order(args) -> None:
     maps = tuple(higher_order.parse_growth(text) for text in args.f or [])
     hos = higher_order.HigherOrderSystem(base=system, forbidden=words, growth_maps=maps)
     grid = _parse_grid(args.n_grid)
-    print("# affdim", __version__, "higher-order", json.dumps(_config(args, system_dict=system.to_json_dict()), sort_keys=True))
+    print("# affdim", __version__, "higher-order", json.dumps(config, sort_keys=True))
     print("n,measured,bound,empirical_gap")
     for n in grid:
         measured, bound = higher_order.affected_density(n, hos)
@@ -307,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        system = load_system(args.system)
+        args.fn(args, system, _config(args, system))
     except (InvalidSystemError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -91,6 +91,9 @@ def _ceil_div(num: int, den: int) -> int:
 class TransitionMatrix:
     """Immutable binary m x m matrix with cached entry-sum powers.
 
+    Irreducibility and primitivity are read from breadth-first levels, in
+    O(m^2) steps each; primitivity is decided from the period.
+
     ``power_sum(k)`` returns the sum of all entries of the k-th matrix power
     as an exact integer; the cache is extended under a lock and only grows,
     so concurrent readers see either a missing or a fully computed value.
@@ -134,33 +137,23 @@ class TransitionMatrix:
 
     def is_irreducible(self) -> bool:
         """True iff the digraph with edge i->j whenever rows[i][j] == 1 is
-        strongly connected."""
-        m = self.m
-        fwd = [[j for j in range(m) if self.rows[i][j]] for i in range(m)]
-        bwd = [[j for j in range(m) if self.rows[j][i]] for i in range(m)]
-
-        def reaches_all(adj):
-            seen = {0}
-            stack = [0]
-            while stack:
-                for j in adj[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            return len(seen) == m
-
-        return reaches_all(fwd) and reaches_all(bwd)
+        strongly connected: the breadth-first levels from letter 0 cover
+        every letter, along A and along its transpose."""
+        if None in _bfs_levels(self.rows):
+            return False
+        return None not in _bfs_levels(tuple(zip(*self.rows)))
 
     def is_primitive(self) -> bool:
-        """True iff some power up to the Wielandt bound (m-1)^2 + 1 is
-        entrywise positive."""
-        m = self.m
-        power = [list(r) for r in self.rows]
-        for _ in range((m - 1) ** 2 + 1):
-            if all(all(e > 0 for e in r) for r in power):
-                return True
-            power = _matmul(power, self.rows)
-        return all(all(e > 0 for e in r) for r in power)
+        """True iff irreducible with period 1, in O(m^2).  With level(x) the
+        breadth-first distance from letter 0, the period is the gcd of
+        level(x) + 1 - level(y) over all edges x -> y."""
+        if not self.is_irreducible():
+            return False
+        level, letters = _bfs_levels(self.rows), range(self.m)
+        steps = (
+            level[x] + 1 - level[y] for x, row in enumerate(self.rows) for y in compress(letters, row)
+        )
+        return math.gcd(*steps) == 1
 
     def power_sum(self, k: int) -> int:
         """Exact sum of all entries of the k-th power (k = 0 gives m).
@@ -187,7 +180,26 @@ class TransitionMatrix:
             return sums[k]
 
 
+def _bfs_levels(rows) -> list[int | None]:
+    """Breadth-first distance of each letter from letter 0 along the edges
+    x -> y with rows[x][y] == 1; None for letters out of reach."""
+    level = [None] * len(rows)
+    level[0] = 0
+    letters, frontier, depth = range(len(rows)), [0], 0
+    while frontier:
+        depth += 1
+        reached = []
+        for x in frontier:
+            for y in compress(letters, rows[x]):
+                if level[y] is None:
+                    level[y] = depth
+                    reached.append(y)
+        frontier = reached
+    return level
+
+
 def _matmul(a, b):
+    """The integer matrix product a b, the tests' reference for power sums."""
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import AffineSystem, InvalidSystemError, TransitionMatrix, validate_system
-from .oracle import brute_force_count
+from .oracle import brute_force_count, window_pairs
 
 #: cap on the bits of f(10^6), the largest value the order check of a
 #: GrowthMap evaluates exactly: k^s there has about 19.9 s bits, and the
@@ -175,19 +175,14 @@ def affected_density(n: int, hos: HigherOrderSystem) -> tuple[float, float]:
 
 
 def window_tuples(n: int, hos: HigherOrderSystem) -> list[tuple[int, ...]]:
-    """Constraint position tuples fully inside {1, ..., n}."""
+    """Constraint position tuples fully inside {1, ..., n}: the window pairs
+    (u, v) = (p*k + a, q*k + b) extended by each f(k)."""
     base = hos.base
-    out = []
-    k = base.k_min
-    while True:
-        u, v = base.p * k + base.a, base.q * k + base.b
-        if u > n:
-            break
-        positions = (u, v) + tuple(g.fn(k) for g in hos.growth_maps)
-        if max(positions) <= n:
-            out.append(positions)
-        k += 1
-    return out
+    tuples = (
+        (u, v) + tuple(g.fn((u - base.a) // base.p) for g in hos.growth_maps)
+        for u, v in window_pairs(n, base)
+    )
+    return [positions for positions in tuples if max(positions) <= n]
 
 
 def dim_gap_empirical(n: int, hos: HigherOrderSystem) -> float:

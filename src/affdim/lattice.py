@@ -467,23 +467,6 @@ def chain_density_column_tail(j: int, upto_i: int, sys: AffineSystem) -> Fractio
     )
 
 
-def _extra_census_tail(upto_i: int, sys: AffineSystem) -> tuple[int, int]:
-    """weighted_extra_census_tail(upto_i, sys) as a pair (num, den) of
-    positive ints, for a divisible-general system and upto_i >= 1.
-
-    With N = upto_i and r = p1/q1, row i carries
-    sum_j (j+1) * share_j = 1 + (1 - r^i) / (1 - r).  The omitted starts sum
-    to s = sum_{i>N} rho_i = (q1-1) / (p * q1 * p1^(N-1)), and
-    sum_{i>N} rho_i * r^i = (p1-1) * p1 / (p * q1^(N+1)) (the rows fall by
-    1/p1, and by 1/q1 once weighted).  The tail s + (s - that) * q1 / (q1-p1)
-    has the common denominator p * q1^(N+1) * p1^(N-1) * (q1-p1).
-    """
-    p, p1, q1, N = sys.p, sys.p1, sys.q1, upto_i
-    q1_N = q1**N
-    num = q1 * ((q1 - 1) * q1_N - (p1 - 1) * p1**N) + (q1 - 1) * q1_N * (q1 - p1)
-    return num, p * q1 * q1_N * p1 ** (N - 1) * (q1 - p1)
-
-
 def weighted_census_tail(upto_i: int, sys: AffineSystem) -> Fraction:
     """Exact remainder of sum_{i > upto_i} sum_j j * chain_density(i, j).
 
@@ -497,17 +480,25 @@ def weighted_census_tail(upto_i: int, sys: AffineSystem) -> Fraction:
 
 
 def weighted_extra_census_tail(upto_i: int, sys: AffineSystem) -> Fraction:
-    """Exact value of sum_{i > upto_i} sum_j (j+1) * chain_density(i, j).
+    """Exact value of sum_{i > upto_i} sum_j (j+1) * chain_density(i, j),
+    for a divisible-general system and upto_i >= 1.
 
     Dominates the Hausdorff series tail: each term of that series is at most
-    sum_j chain_density(i, j) * (j + 1).  The closed form is derived in
-    ``_extra_census_tail``.
+    sum_j chain_density(i, j) * (j + 1).  With N = upto_i and r = p1/q1, row
+    i carries sum_j (j+1) * share_j = 1 + (1 - r^i) / (1 - r).  The omitted
+    starts sum to s = sum_{i>N} rho_i = (q1-1) / (p * q1 * p1^(N-1)), and
+    sum_{i>N} rho_i * r^i = (p1-1) * p1 / (p * q1^(N+1)) (the rows fall by
+    1/p1, and by 1/q1 once weighted).  The tail s + (s - that) * q1 / (q1-p1)
+    has the common denominator p * q1^(N+1) * p1^(N-1) * (q1-p1).
     """
     if upto_i < 1:
         raise ValueError("truncation index must be >= 1")
     if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
         raise InvalidSystemError("census tails require the divisible-general case")
-    return Fraction(*_extra_census_tail(upto_i, sys))
+    p, p1, q1, N = sys.p, sys.p1, sys.q1, upto_i
+    q1_N = q1**N
+    num = q1 * ((q1 - 1) * q1_N - (p1 - 1) * p1**N) + (q1 - 1) * q1_N * (q1 - p1)
+    return Fraction(num, p * q1 * q1_N * p1 ** (N - 1) * (q1 - p1))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import itertools
 import json
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from affdim import (
     validate_system,
 )
 from affdim.core import _div_int, _matmul, truncation_index
-from conftest import FULL2, GOLDEN, PERIODIC, random_irreducible
+from conftest import FULL2, GOLDEN, PERIODIC, random_binary_matrix, random_irreducible
 import random
 
 
@@ -109,6 +111,29 @@ class TestValidateSystem:
         assert s.q1 >= 2
 
 
+def positive_power(rows, k: int) -> bool:
+    """Whether the k-th power of ``rows`` is entrywise positive, by k
+    products with ``_matmul``, each clipped back to 0/1."""
+    m = len(rows)
+    power = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(k):
+        power = [[min(e, 1) for e in row] for row in _matmul(power, rows)]
+    return all(map(all, power))
+
+
+def reaches_both_ways(rows) -> bool:
+    """Reference irreducibility: every letter reaches every letter within
+    m - 1 steps, so (I + A)^(m-1) is entrywise positive."""
+    steps = [[int(i == j or e) for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    return positive_power(steps, len(rows) - 1)
+
+
+def wielandt_primitive(rows) -> bool:
+    """Reference primitivity: A^((m-1)^2 + 1) is entrywise positive
+    (Wielandt's bound)."""
+    return positive_power(rows, (len(rows) - 1) ** 2 + 1)
+
+
 class TestConnectivity:
     def test_irreducible_examples(self):
         assert is_irreducible(TransitionMatrix.from_rows(GOLDEN))
@@ -128,6 +153,41 @@ class TestConnectivity:
             )
             if mat.is_primitive():
                 assert mat.is_irreducible()
+
+    def test_every_small_matrix_matches_the_references(self):
+        # all 16 + 512 binary matrices with m = 2, 3
+        for m in (2, 3):
+            for bits in itertools.product((0, 1), repeat=m * m):
+                rows = [bits[i * m:(i + 1) * m] for i in range(m)]
+                mat = TransitionMatrix.from_rows(rows)
+                assert mat.is_irreducible() == reaches_both_ways(rows), rows
+                assert mat.is_primitive() == wielandt_primitive(rows), rows
+
+    def test_sampled_matrices_match_the_references(self):
+        rng = random.Random(2406)
+        sample = list(PERIODIC)
+        for m in (4, 5, 6):
+            sample += [random_binary_matrix(m, rng, rng.choice((0.2, 0.35, 0.5))) for _ in range(120)]
+        kinds = set()
+        for rows in sample:
+            mat = TransitionMatrix.from_rows(rows)
+            irreducible, primitive = reaches_both_ways(rows), wielandt_primitive(rows)
+            assert mat.is_irreducible() == irreducible, rows
+            assert mat.is_primitive() == primitive, rows
+            kinds.add((irreducible, primitive))
+        assert kinds == {(False, False), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("self_loop, primitive", [(False, False), (True, True)])
+    def test_wide_cycle_is_decided_quickly(self, self_loop, primitive):
+        # the cycle 0 -> 1 -> ... -> 511 -> 0 has period 512, and period 1
+        # once letter 0 also steps to itself
+        rows = [[int(j == (i + 1) % 512) for j in range(512)] for i in range(512)]
+        rows[0][0] = int(self_loop)
+        mat = TransitionMatrix.from_rows(rows)
+        start = time.perf_counter()
+        assert mat.is_irreducible()
+        assert mat.is_primitive() is primitive
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPowerSums:

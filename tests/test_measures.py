@@ -392,18 +392,35 @@ class TestLawTable:
         # levels read in reverse; every row must be the family's own law,
         # formed independently of the table's numpy path
         rng = random.Random(1601)
-        tags = set()
+        cases = []
         for _ in range(60):
             p = rng.randint(1, 4)
             q = rng.randint(p + 1, 8)
             a = rng.randint(0, 5)
             s = validate_system(p, q, a, rng.randint(a, 5), random_irreducible(rng.randint(2, 4), rng))
-            tags.add(s.case_tag)
-            pm = PrefixMeasure(s, rng.choice((1, 7, 300, 3000, 20_000)))
+            cases.append((s, rng.choice((1, 7, 300, 3000, 20_000))))
+        # non-divisible pairs whose tables reach a second level, so the
+        # successor rows are checked on matrices whose rows differ in
+        # support and sum
+        pairs = [
+            validate_system(*pqab, rows)
+            for rows, pqab in [
+                (MIXED3, (4, 6, 0, 1)),
+                (MIXED3, (6, 9, 0, 1)),
+                (SPARSE5, (4, 6, 0, 1)),
+                (SPARSE5, (6, 9, 0, 1)),
+                (GOLDEN, (2, 4, 0, 1)),
+            ]
+        ]
+        cases += [(s, n) for s in pairs for n in (300, 3000)]
+        for s, n in cases:
+            pm = PrefixMeasure(s, n)
             depth = pm.laws.shape[1]
+            if s in pairs:
+                assert s.case_tag is CaseTag.NON_DIVISIBLE and 2 in pm.families and depth >= 2
             for f, family in enumerate(pm.families):
                 assert pm.laws[f].tolist() == self.expected(family, s, depth), family
-        assert tags == set(CaseTag)
+        assert {s.case_tag for s, _ in cases} == set(CaseTag)
 
 
 class TestLocalDimension:
