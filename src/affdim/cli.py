@@ -42,8 +42,12 @@ def _parse_grid(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        # parsed exactly, as float() would round entries past 2**53; no "p/q" form
-        value = Fraction(part) if "/" not in part else None
+        # parsed exactly, as float() would round entries past 2**53; no "p/q"
+        # form, and Fraction's own refusal of "nan" or "abc" is not shown
+        try:
+            value = Fraction(part) if "/" not in part else None
+        except ValueError:
+            value = None
         if value is None or value < 1 or value.denominator != 1:
             raise InvalidSystemError(f"grid entries must be positive integers, got {part!r}")
         grid.append(int(value))
@@ -101,7 +105,8 @@ def _printable_log_ratio(n: int, system) -> float:
     float error of the estimate."""
     log_ratio = minkowski.empirical_dimension(n, system)
     digits = log_ratio * n * math.log10(system.m)
-    limit = _sys.get_int_max_str_digits()
+    # CPython before 3.10.7 has no digit limit, nor the function reading it
+    limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
     if limit and digits > limit + 1:
         raise InvalidSystemError(
             f"the count at n = {n} has about {digits:.4g} decimal digits, "

@@ -44,11 +44,14 @@ def predecessor(x: int, sys: AffineSystem) -> int | None:
     return sys.p * k + sys.a
 
 
-def _check_monotone(sys: AffineSystem) -> None:
-    # The smallest constrained pair is (p*k_min+a, q*k_min+b); pairs step
-    # upward from there, so the map is strictly increasing iff the first
-    # pair is.  Decreasing or self-looping pairs (possible when a > b) break
-    # the chain ordering and are not supported by the decomposition.
+def _check_window(n: int, sys: AffineSystem) -> None:
+    """Refuse an empty window, then a non-increasing pair.  The smallest
+    constrained pair is (p*k_min+a, q*k_min+b); pairs step upward from
+    there, so the map is strictly increasing iff the first pair is.
+    Decreasing or self-looping pairs (possible when a > b) break the chain
+    ordering and are not supported by the decomposition."""
+    if n < 1:
+        raise ValueError(f"window size must be >= 1, got {n}")
     k = sys.k_min
     if sys.q * k + sys.b <= sys.p * k + sys.a:
         raise InvalidSystemError(
@@ -126,7 +129,7 @@ def _tally(n: int, counted) -> Census:
 def _infinite_orbits(sys: AffineSystem) -> bool:
     # With p1 == 1 (p divides q) and p dividing b - a, the successor
     # q*k + b = p*(q1*k + c) + a of x = p*k + a is again p*k' + a with
-    # k' - k = (q1 - 1)*k + c.  Callers have passed _check_monotone, so the
+    # k' - k = (q1 - 1)*k + c.  Callers have passed _check_window, so the
     # first pair increases: (q - p)*k_min + b - a = p*((q1 - 1)*k_min + c) > 0.
     # As q1 >= 2, k' > k >= k_min for every k >= k_min, so a chain that
     # advances once never terminates, whatever the sign of c.
@@ -143,9 +146,7 @@ def decompose(n: int, sys: AffineSystem) -> ChainDecomposition:
     instead.  This scalar walk is the reference that ``chain_walk`` and
     ``window_counts`` are tested against.
     """
-    if n < 1:
-        raise ValueError(f"window size must be >= 1, got {n}")
-    _check_monotone(sys)
+    _check_window(n, sys)
     infinite = _infinite_orbits(sys)
     chains = []
     for s in range(1, n + 1):
@@ -212,9 +213,7 @@ def chain_levels(n: int, sys: AffineSystem):
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError(f"window size must be >= 1, got {n}")
-    _check_monotone(sys)
+    _check_window(n, sys)
     _check_int64(n, sys)
     p, q, a, b, k_min = sys.p, sys.q, sys.a, sys.b, sys.k_min
 
@@ -322,44 +321,43 @@ def empirical_census(n: int, sys: AffineSystem) -> Census:
     return _tally(n, keyed)
 
 
-def window_counts(n: int, sys: AffineSystem) -> dict[int, int]:
-    """``empirical_census(n, sys).D`` in O(log n) integer steps, no walk.
-
-    Let E_t count the positions x <= n whose t-th predecessor exists
-    (E_0 = n).  The predecessor of a window position is smaller, so a chain
-    with j window members holds max(0, j - t) of them and
-    D[j] = E_{j-1} - 2*E_j + E_{j+1}.  The positions with a t-th
-    predecessor are the image of the successor map f applied t times, an
-    arithmetic progression {first + step*i : i >= 0}; the next level solves
+def _depth_progressions(n: int, sys: AffineSystem) -> list[tuple[int, int]]:
+    """(first, step) of the positions x <= n of depth >= t, those with a
+    t-th predecessor, for t = 1, 2, ... up to the last nonempty level: the
+    image of the successor map f applied t times.  Each level solves
     p*k + a = first + step*i (one gcd and one modular inverse), takes the
-    smallest such k >= k_min and maps it to q*k + b.  Since f(x) > x (the
-    first pair increases), a progression member beyond n never maps back
-    into the window, so once step exceeds n it is capped at n + 1 to keep
-    the integers small.
-    """
-    if n < 1:
-        raise ValueError(f"window size must be >= 1, got {n}")
-    _check_monotone(sys)
+    smallest such k >= k_min and maps it to q*k + b.  Since f(x) > x, a
+    member beyond n never maps back into the window, so a step past n is
+    capped at n + 1.  The list is built eagerly, after ``_check_window``."""
+    _check_window(n, sys)
     p, q, a, b, k_min = sys.p, sys.q, sys.a, sys.b, sys.k_min
-
-    E = [n]
+    levels = []
     first, step = 1, 1
     while True:
         # p*k + a lies in the progression iff k = k0 mod (step // g) and
         # p*k + a >= first
         g = math.gcd(p, step)
         if (first - a) % g:
-            break
+            return levels
         mod = step // g
         k0 = (first - a) // g * pow(p // g, -1, mod) % mod
         lo = max(k_min, -((a - first) // p))
         first = q * (lo + (k0 - lo) % mod) + b
         if first > n:
-            break
+            return levels
         step = min(q * mod, n + 1)
-        E.append((n - first) // step + 1)
+        levels.append((first, step))
 
-    E += [0, 0]
+
+def window_counts(n: int, sys: AffineSystem) -> dict[int, int]:
+    """``empirical_census(n, sys).D`` in O(log n) integer steps, no walk.
+
+    E_t counts the positions x <= n of depth >= t (``_depth_progressions``,
+    E_0 = n).  The predecessor of a window position is smaller, so a chain
+    with j window members holds max(0, j - t) of them and
+    D[j] = E_{j-1} - 2*E_j + E_{j+1}.
+    """
+    E = [n, *((n - first) // step + 1 for first, step in _depth_progressions(n, sys)), 0, 0]
     D: dict[int, int] = {}
     for j in range(1, len(E) - 1):
         count = E[j - 1] - 2 * E[j] + E[j + 1]

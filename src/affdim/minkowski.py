@@ -25,7 +25,7 @@ from .core import (
     check_tolerance,
     truncation_index,
 )
-from .lattice import Census, _check_monotone, predecessor, window_counts
+from .lattice import Census, _depth_progressions, window_counts
 
 #: the unit roundoff 2**-53 doubled
 _TWO_U = 2.0**-52
@@ -203,23 +203,19 @@ def pattern_counts_upto(max_n: int, sys: AffineSystem) -> list[int]:
 
     Write s(j) = |A^(j-1)| for the factor of a chain with j window members
     (s(1) = m) and s(0) = 1.  Position n either starts a chain, or extends
-    the chain of its predecessor, which is smaller and so holds some j
-    members of {1, ..., n-1}.  Either way one factor s(j) becomes s(j+1),
-    with j = 0 for a new chain, so count(n) = count(n-1) / s(j) * s(j+1).
+    a chain holding its j = depth(n) predecessors, all in {1, ..., n-1}.
+    Either way one factor s(j) becomes s(j+1), so count(n) = count(n-1) /
+    s(j) * s(j+1).  The depth levels are nested progressions, those that
+    ``window_counts`` reads, so marking each in turn leaves every depth.
     """
-    if max_n < 1:
-        raise ValueError(f"window size must be >= 1, got {max_n}")
-    _check_monotone(sys)
-    sums = [1]
-    members = [0] * (max_n + 1)  # window members of x's chain up to x
+    levels = _depth_progressions(max_n, sys)
+    depth = [0] * (max_n + 1)
+    for t, (first, step) in enumerate(levels, 1):
+        depth[first::step] = [t] * ((max_n - first) // step + 1)
+    sums = [1] + [sys.matrix.power_sum(j) for j in range(len(levels) + 1)]
     counts = []
     count = 1
-    for x in range(1, max_n + 1):
-        pre = predecessor(x, sys)
-        j = 0 if pre is None else members[pre]
-        if j + 1 == len(sums):
-            sums.append(sys.matrix.power_sum(j))
-        members[x] = j + 1
+    for j in depth[1:]:
         count = count // sums[j] * sums[j + 1]
         counts.append(count)
     return counts

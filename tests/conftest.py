@@ -14,6 +14,15 @@ BIPARTITE4 = ((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))
 #: irreducible matrices with period 2 or 3
 PERIODIC = (SWAP, BIPARTITE4, ((0, 1, 1), (1, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
 
+#: primitive; every transition row of the pair law has zero-mass letters
+SPARSE5 = (
+    (1, 1, 0, 0, 0),
+    (0, 0, 1, 1, 0),
+    (0, 0, 0, 1, 1),
+    (1, 0, 0, 0, 1),
+    (1, 1, 1, 0, 0),
+)
+
 #: exercises every case tag: classical, general, non-divisible, degenerate
 BATTERY = [(1, 2, 0, 0), (2, 3, 0, 0), (2, 4, 0, 1), (2, 4, 0, 0), (3, 5, 1, 2), (4, 6, 1, 3)]
 

@@ -292,6 +292,13 @@ class TestDecomposeAndCount:
         assert code == 1 and out == ""
         assert "digit" in err and "Traceback" not in err
 
+    def test_count_without_the_digit_limit_function(self, capsys, golden_23, monkeypatch):
+        # CPython before 3.10.7 has no sys.get_int_max_str_digits
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        code, out, err = run(capsys, "count", "--n", "1000", golden_23)
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["count"] == pattern_count_exact(1000, load_system(golden_23))
+
     def test_count_at_the_digit_limit_prints(self, capsys, golden_23):
         limit = sys.get_int_max_str_digits()
         if not limit:
@@ -412,7 +419,7 @@ class TestSweep:
         assert code == 0
         rows = out.strip().splitlines()[2:]
         assert [r.split(",")[0] for r in rows] == ["100000000000000000000000", "123456789012345678901"]
-        for entry in ("1.5", "0", "6/2", "1e-3"):
+        for entry in ("1.5", "0", "6/2", "1e-3", "nan", "inf", "0x10", "abc"):
             code, _, err = run(capsys, "sweep", "--n-grid", entry, golden_12)
             assert code == 1
             assert "positive integers" in err

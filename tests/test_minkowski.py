@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from affdim import InvalidSystemError, TransitionMatrix, validate_system
+from affdim.lattice import decompose
 from affdim.minkowski import (
     dimension,
     dimension_classical,
@@ -233,13 +234,20 @@ class TestPatternCount:
         systems = [sys_golden(*pqab) for pqab in BATTERY + [(2, 5, -3, 4), (2, 5, 3, 1), (1, 3, 1, 0)]]
         systems += [validate_system(2, 3, 0, 0, random_irreducible(m, rng)) for m in (3, 4)]
         for s in systems:
-            assert pattern_counts_upto(90, s) == [pattern_count_exact(n, s) for n in range(1, 91)]
+            counts = pattern_counts_upto(90, s)
+            assert counts == [pattern_count_exact(n, s) for n in range(1, 91)]
+            # both routes above read the same depth progressions; the
+            # census of the scalar walk is independent of them
+            assert counts == [pattern_count_exact(n, s, decompose(n, s).census()) for n in range(1, 91)]
 
     def test_running_counts_refuse_what_the_census_refuses(self):
         with pytest.raises(ValueError, match=">= 1"):
             pattern_counts_upto(0, sys_golden(2, 3, 0, 0))
         with pytest.raises(InvalidSystemError, match="non-increasing"):
             pattern_counts_upto(10, sys_golden(1, 2, 1, 0))
+        # refused at once, before anything of the window's size is built
+        with pytest.raises(InvalidSystemError, match="non-increasing"):
+            pattern_counts_upto(10**12, sys_golden(1, 2, 1, 0))
 
     def test_full_matrix_counts_everything(self):
         for n in (1, 4, 9):
