@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys as _sys
-from fractions import Fraction
+from decimal import Decimal, InvalidOperation
 
 from . import __version__, hausdorff, higher_order, measures, minkowski, oracle
 from .core import AffineSystem, InvalidSystemError, NumericalError, _read_json, load_system
@@ -42,13 +42,16 @@ def _parse_grid(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        # parsed exactly, as float() would round entries past 2**53; no "p/q"
-        # form, and Fraction's own refusal of "nan" or "abc" is not shown
+        # Decimal reads the entry exactly, where float() would round past
+        # 2**53, and keeps its exponent apart, so 1e999999999 is read at once;
+        # no "p/q" form, and Decimal's own refusal of "abc" is not shown
         try:
-            value = Fraction(part) if "/" not in part else None
-        except ValueError:
-            value = None
-        if value is None or value < 1 or value.denominator != 1:
+            value = Decimal(part)
+        except InvalidOperation:
+            value = Decimal("nan")
+        if value.is_finite() and math.isinf(float(value)):
+            raise InvalidSystemError(f"grid entry {part!r} is past the float range")
+        if not value.is_finite() or value < 1 or value != value.to_integral_value():
             raise InvalidSystemError(f"grid entries must be positive integers, got {part!r}")
         grid.append(int(value))
     if not grid:
@@ -305,8 +308,11 @@ def main(argv=None) -> int:
     try:
         system = load_system(args.system)
         args.fn(args, system, _config(args, system))
-    except (InvalidSystemError, FileNotFoundError, ValueError) as exc:
+    except (InvalidSystemError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: the window needs more memory than is available", file=_sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)

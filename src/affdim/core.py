@@ -52,9 +52,9 @@ def truncation_index(
     pair (num, den) of positive ints; a float factor of a bound enters
     through its exact ``as_integer_ratio()``.  With tol = t_num / t_den
     exactly, the test num * t_den <= t_num * den is exact and monotone in i,
-    subnormal tolerances included, so a galloping search from ``start`` and
-    a bisection find the N at which a per-term scan would stop.  Report the
-    bound as ``num / den``, which is correctly rounded.
+    subnormal tolerances included, so ``_first_index`` finds the N at which
+    a per-term scan would stop.  Report the bound as ``num / den``, which is
+    correctly rounded.
     """
     check_tolerance(tol)
     t_num, t_den = tol.as_integer_ratio()
@@ -63,16 +63,23 @@ def truncation_index(
         num, den = tail(i)
         return num * t_den <= t_num * den
 
-    above, N = start - 1, start   # tail(above) > tol unless above < start
-    while not meets(N):
-        above, N = N, 2 * N - start + 1
-    while N - above > 1:
-        mid = (above + N) // 2
-        if meets(mid):
-            N = mid
+    N = _first_index(meets, start)
+    return N, tail(N)
+
+
+def _first_index(holds: Callable[[int], bool], start: int) -> int:
+    """The smallest i >= start with holds(i), for a test that stays true once it
+    holds and holds somewhere: a galloping search from ``start``, then a bisection."""
+    above, i = start - 1, start   # holds(above) is false unless above < start
+    while not holds(i):
+        above, i = i, 2 * i - start + 1
+    while i - above > 1:
+        mid = (above + i) // 2
+        if holds(mid):
+            i = mid
         else:
             above = mid
-    return N, tail(N)
+    return i
 
 
 def _div_int(x: float, n: int) -> float:
@@ -326,7 +333,8 @@ def system_from_json_dict(data: dict) -> AffineSystem:
 
 def _read_json(path: str, what: str):
     """The JSON value in the ``what`` file at ``path``; malformed JSON and a
-    directory raise InvalidSystemError."""
+    path that cannot be read (missing, a directory, too long) raise
+    InvalidSystemError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -334,6 +342,8 @@ def _read_json(path: str, what: str):
         raise InvalidSystemError(f"malformed JSON in {path}: {exc}") from exc
     except IsADirectoryError as exc:
         raise InvalidSystemError(f"{what} path {path} is a directory") from exc
+    except OSError as exc:
+        raise InvalidSystemError(f"cannot read {what} path {path}: {exc.strerror or exc}") from exc
 
 
 def load_system(path: str) -> AffineSystem:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import AffineSystem, InvalidSystemError, TransitionMatrix, validate_system
+from .core import AffineSystem, InvalidSystemError, TransitionMatrix, _first_index, validate_system
 from .oracle import brute_force_count, window_pairs
 
 #: cap on the bits of f(10^6), the largest value the order check of a
@@ -72,19 +72,8 @@ class GrowthMap:
             )
 
     def count_upto(self, n: int) -> int:
-        """#{k >= 1 : fn(k) <= n} (a prefix of N by monotonicity)."""
-        if self.fn(1) > n:
-            return 0
-        lo, hi = 1, 1
-        while self.fn(hi) <= n:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.fn(mid) <= n:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """#{k >= 1 : fn(k) <= n}: by monotonicity, the first k with fn(k) > n, less one."""
+        return _first_index(lambda k: self.fn(k) > n, 1) - 1
 
 
 def _ceil_power(k: int, e: float) -> int:

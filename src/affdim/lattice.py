@@ -153,14 +153,11 @@ def decompose(n: int, sys: AffineSystem) -> ChainDecomposition:
         pre = predecessor(s, sys)
         if pre is not None and pre <= n:
             continue
-        positions = [s]
-        while True:
-            nxt = successor(positions[-1], sys)
-            if nxt is None or nxt > n:
-                break
+        positions, nxt = [s], successor(s, sys)
+        while nxt is not None and nxt <= n:
             positions.append(nxt)
+            nxt = successor(nxt, sys)
         full = len(positions)
-        nxt = successor(positions[-1], sys)
         truncated = nxt is not None and infinite
         while nxt is not None and not truncated:
             full += 1

@@ -63,14 +63,31 @@ def series_tail_bound(upto_i: int, q1: int, d: int) -> Fraction:
     return Fraction(*_series_tail(upto_i, q1, d))
 
 
-def _series_terms(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int):
-    """Float terms of ((q1-1)^2/d) * sum_{i >= first_i} log_m |A^{i-1}| / q1^{i+1}
-    up to the first i whose tail bound is <= tol.  Returns (terms, N, tail_bound)
-    with the bound as a float.
+def _series(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int, const=0.0):
+    """const plus the float terms of ((q1-1)^2/d) * sum_{i >= first_i}
+    log_m |A^{i-1}| / q1^{i+1} up to the first i = N whose tail bound is
+    <= tol, summed with ``math.fsum``.  Returns (value, N, tail_bound,
+    rounding_bound), the bounds as floats.
 
     Each weight (q1-1)^2 / (d q1^(i+1)) is one correctly rounded quotient of
     exact integers.  It is at most 1, so it cannot overflow, even for q1 or d
     past the float range, and far out it underflows to a subnormal or zero.
+
+    rounding_bound dominates |value - exact| for the exact truncated sum
+    with const rounded once; u = 2^-53.  Assuming math.log is within 1 ulp,
+    a term log(P) / log(m) * w rounds log(P) within 5u relative (P >= 2;
+    rounding P to a float adds at most u / ln 2, and past the float range
+    math.log adds e * log(2) to the log of a rounded mantissa, within
+    4.01u), log(m) within 2u, and the quotient, the weight and the product
+    within u each: 10u to first order, at most 11u of the float term.
+    Every term is positive, and the constant and the fsum result are
+    rounded once each.  So with partial = fsum(terms) the error is at most
+    u * (value + const) + 11u * partial * (1 + u); the first part of the
+    bound exceeds that by u * (value + const) + 5u * partial, which covers
+    its own float evaluation.  A term with a subnormal weight has log_m P in
+    [1, i] (P >= m for an irreducible matrix) and errs by less than
+    32 (i + 1) 2^-1075 in absolute terms; over all terms that is under
+    (N + 2)^2 2^-1070.
     """
     N, (tail_num, tail_den) = truncation_index(lambda i: _series_tail(i, q1, d), first_i, tol)
     ln_m = math.log(matrix.m)
@@ -80,28 +97,9 @@ def _series_terms(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i
     for i in range(first_i, N + 1):
         den *= q1
         terms.append(math.log(matrix.power_sum(i - 1)) / ln_m * (num / den))
-    return terms, N, tail_num / tail_den
-
-
-def _rounding_bound(value: float, const: float, partial: float, N: int) -> float:
-    """Bound on |value - exact| where value = fsum([const, *terms]) was
-    computed from a constant rounded once, partial = fsum(terms), and the
-    N or fewer terms of ``_series_terms``; u = 2^-53.
-
-    Assuming math.log is within 1 ulp, a term log(P) / log(m) * w rounds
-    log(P) within 5u relative (P >= 2; rounding P to a float adds at most
-    u / ln 2, and past the float range math.log adds e * log(2) to the log
-    of a rounded mantissa, within 4.01u), log(m) within 2u, and the
-    quotient, the weight and the product within u each: 10u to first
-    order, at most 11u of the float term.  Every term is positive, and the
-    constant and the fsum result are rounded once each.  So the error is at
-    most u * (value + const) + 11u * partial * (1 + u); the first part
-    below exceeds that by u * (value + const) + 5u * partial, which covers
-    its own float evaluation.  A term with a subnormal weight has log_m P in [1, i] (P >= m for an
-    irreducible matrix) and errs by less than 32 (i + 1) 2^-1075 in
-    absolute terms; over all terms that is under (N + 2)^2 2^-1070.
-    """
-    return _TWO_U * (value + const + 8 * partial) + (N + 2) ** 2 * 2.0**-1070
+    value = math.fsum([const, *terms])
+    rounding = _TWO_U * (value + const + 8 * math.fsum(terms)) + (N + 2) ** 2 * 2.0**-1070
+    return value, N, tail_num / tail_den, rounding
 
 
 def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
@@ -129,8 +127,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         raise InvalidSystemError("divisible formula called on a non-divisible system")
     d, q1 = sys.d, sys.q1
     const = (d * q1**2 - 2 * q1 + 1) / (d * q1**2)
-    terms, N, tail = _series_terms(sys.matrix, q1, d, tol, first_i=2)
-    value = math.fsum([const, *terms])
+    value, N, tail, rounding = _series(sys.matrix, q1, d, tol, first_i=2, const=const)
     return DimensionReport(
         value=value,
         kind="minkowski",
@@ -138,7 +135,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         truncation_index=N,
         tail_bound=tail,
         tolerance=tol,
-        rounding_bound=_rounding_bound(value, const, math.fsum(terms), N),
+        rounding_bound=rounding,
     )
 
 
@@ -146,8 +143,7 @@ def dimension_classical(q: int, matrix: TransitionMatrix, tol: float = 1e-8) -> 
     """Series (q-1)^2 sum_{i>=1} log_m |A^{i-1}| / q^{i+1} for ratio-q systems."""
     if q < 2:
         raise InvalidSystemError(f"classical ratio must be >= 2, got {q}")
-    terms, N, tail = _series_terms(matrix, q, 1, tol, first_i=1)
-    value = math.fsum(terms)
+    value, N, tail, rounding = _series(matrix, q, 1, tol, first_i=1)
     return DimensionReport(
         value=value,
         kind="minkowski",
@@ -155,7 +151,7 @@ def dimension_classical(q: int, matrix: TransitionMatrix, tol: float = 1e-8) -> 
         truncation_index=N,
         tail_bound=tail,
         tolerance=tol,
-        rounding_bound=_rounding_bound(value, 0.0, value, N),
+        rounding_bound=rounding,
     )
 
 
@@ -171,14 +167,13 @@ def series_evaluation(sys: AffineSystem, tol: float = 1e-8) -> SeriesEvaluation:
     """The truncated divisible-case series with its rigorous tail bound."""
     if not sys.divisible:
         raise InvalidSystemError("the power-sum series belongs to the divisible case")
-    terms, N, tail = _series_terms(sys.matrix, sys.q1, sys.d, tol, first_i=2)
-    partial = math.fsum(terms)
+    partial, N, tail, rounding = _series(sys.matrix, sys.q1, sys.d, tol, first_i=2)
     return SeriesEvaluation(
         partial_sum=partial,
         terms_used=N,
         tail_bound=tail,
         log_base=sys.m,
-        rounding_bound=_rounding_bound(partial, 0.0, partial, N),
+        rounding_bound=rounding,
     )
 
 

@@ -107,17 +107,7 @@ def brute_force_count(
     plain recursive enumeration with early pruning, tried letter by letter,
     the slow reference.
     """
-    if n < 1:
-        raise ValueError(f"window size must be >= 1, got {n}")
-    extras = _normalize_extra(extra_constraints, n, sys.m)
-    if method == "frontier":
-        counts = _frontier_counts(n, sys, extras)
-        count = counts[-1]
-    elif method == "dfs":
-        count = _dfs_count(n, sys, extras)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return EnumerationResult(n=n, count=count)
+    return EnumerationResult(n=n, count=_enumerate(n, sys, extra_constraints, method)[-1])
 
 
 def brute_force_counts_upto(
@@ -130,10 +120,21 @@ def brute_force_counts_upto(
     At time t exactly the constraints with both (all) positions <= t have
     been enforced, so the running total is the window-t count.
     """
+    return _enumerate(n, sys, extra_constraints, "frontier")
+
+
+def _enumerate(n: int, sys: AffineSystem, extra_constraints, method: str) -> list[int]:
+    """The window check, the extras' normalization and the chosen method, in
+    that order: "frontier" gives the count of every window {1..t}, t = 1..n,
+    and "dfs" the count of {1..n} alone."""
     if n < 1:
         raise ValueError(f"window size must be >= 1, got {n}")
     extras = _normalize_extra(extra_constraints, n, sys.m)
-    return _frontier_counts(n, sys, extras)
+    if method == "frontier":
+        return _frontier_counts(n, sys, extras)
+    if method == "dfs":
+        return [_dfs_count(n, sys, extras)]
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _banned(pos: tuple[int, ...], words) -> dict[tuple[int, ...], set[int]]:

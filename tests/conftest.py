@@ -23,6 +23,9 @@ SPARSE5 = (
     (1, 1, 1, 0, 0),
 )
 
+#: primitive, with row sums 3, 1, 2, so no chain law is uniform
+MIXED3 = ((1, 1, 1), (1, 0, 0), (0, 1, 1))
+
 #: exercises every case tag: classical, general, non-divisible, degenerate
 BATTERY = [(1, 2, 0, 0), (2, 3, 0, 0), (2, 4, 0, 1), (2, 4, 0, 0), (3, 5, 1, 2), (4, 6, 1, 3)]
 

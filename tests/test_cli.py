@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -139,28 +140,39 @@ class TestMalformedInput:
             ("directory", None),
             ('{"m": 2, "matrix": [[1, 1], [1, 0]], "p": 1, "q": 2, "a": 0, "b": 0}', '{"words": 5}'),
             ('{"m": 2, "matrix": [[1, 1], [1, 0]], "p": 1, "q": 2, "a": 0, "b": 0}', "directory"),
+            ("long-name", None),
+            ("under-a-file", None),
+            ('{"m": 2, "matrix": [[1, 1], [1, 0]], "p": 1, "q": 2, "a": 0, "b": 0}', "long-name"),
         ],
         ids=[
             "list", "null", "number", "flat-matrix", "directory", "words-number",
-            "forbidden-directory",
+            "forbidden-directory", "long-name", "under-a-file", "forbidden-long-name",
         ],
     )
     def test_exits_one_without_traceback(self, tmp_path, system, forbidden):
-        if system == "directory":
-            path = tmp_path
-        else:
-            path = tmp_path / "system.json"
-            path.write_text(system)
+        def input_path(spec, name):
+            # a directory, a 5,000-character file name, a path below a file,
+            # or a file holding spec
+            if spec == "directory":
+                return tmp_path
+            if spec == "long-name":
+                return tmp_path / ("a" * 5000)
+            path = tmp_path / name
+            if spec == "under-a-file":
+                path.write_text("{}")
+                return path / "x"
+            path.write_text(spec)
+            return path
+
+        path = input_path(system, "system.json")
         if forbidden is None:
-            argv = ["dim", str(path)]
+            unreadable, argv = path, ["dim", str(path)]
         else:
-            if forbidden == "directory":
-                words = tmp_path
-            else:
-                words = tmp_path / "words.json"
-                words.write_text(forbidden)
-            argv = ["higher-order", "--forbidden", str(words), "--n-grid", "16", str(path)]
-        assert_refused_in_child(*argv)
+            unreadable = input_path(forbidden, "words.json")
+            argv = ["higher-order", "--forbidden", str(unreadable), "--n-grid", "16", str(path)]
+        proc = assert_refused_in_child(*argv)
+        if "long-name" in (system, forbidden) or system == "under-a-file":
+            assert str(unreadable) in proc.stderr
 
     def test_sample_refuses_more_than_ten_letters(self, tmp_path):
         # letters >= 10 would print two digits and the prefix line could not
@@ -187,6 +199,19 @@ class TestMalformedInput:
         results = json.loads(proc.stdout)["results"]
         assert {kind: r["value"] for kind, r in results.items()} == {"hausdorff": 1.0, "minkowski": 1.0}
 
+    @pytest.mark.parametrize("argv", [["sample", "--n", "100000000000"],
+                                      ["billingsley", "--n", "100000000000", "--samples", "2"]],
+                             ids=["sample", "billingsley"])
+    def test_window_past_the_memory_exits_one(self, golden_23, argv):
+        # the child alone is capped at 1 GiB of address space; one BLAS
+        # thread keeps numpy's own start-up inside it
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = assert_refused_in_child(*argv, golden_23, env={"OPENBLAS_NUM_THREADS": "1"},
+                                       preexec_fn=cap, timeout=120)
+        assert "more memory than is available" in proc.stderr
+
     def test_sample_prints_one_digit_per_letter_on_ten_letters(self, capsys, tmp_path):
         path = system_file(tmp_path, (1, 2, 0, 0), tuple((1,) * 10 for _ in range(10)))
         code, out, _ = run(capsys, "sample", "--n", "20", "--seed", "3", path)
@@ -194,23 +219,24 @@ class TestMalformedInput:
         assert len(out.splitlines()[0]) == 20
 
 
-def run_in_child(*argv) -> subprocess.CompletedProcess:
+def run_in_child(*argv, env=(), **kwargs) -> subprocess.CompletedProcess:
     """The CLI in a child process, so that an escaping exception shows as a
-    traceback."""
-    env = dict(os.environ, PYTHONPATH=str(Path(affdim.__file__).parents[1]))
+    traceback; ``env`` adds variables and ``kwargs`` go to subprocess.run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(affdim.__file__).parents[1]), **dict(env))
     return subprocess.run(
-        [sys.executable, "-m", "affdim.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "affdim.cli", *argv], capture_output=True, text=True, env=env, **kwargs
     )
 
 
-def assert_refused_in_child(*argv):
+def assert_refused_in_child(*argv, **kwargs) -> subprocess.CompletedProcess:
     """Exit 1 with an ``error:`` line, no traceback and no stdout, in a child
     process."""
-    proc = run_in_child(*argv)
+    proc = run_in_child(*argv, **kwargs)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    return proc
 
 
 IMPORT_PROBE = """
@@ -431,6 +457,21 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--n-grid", "1e300", golden_23)
         assert code == 0
         assert math.isfinite(float(out.strip().splitlines()[-1].split(",")[1]))
+
+    def test_grid_entries_that_would_take_long_to_build_refused_in_child(self, golden_23, tmp_path):
+        # Fraction builds 10^999999999 exactly, which does not finish
+        words = tmp_path / "words.json"
+        words.write_text(json.dumps({"words": ["111"]}))
+        higher_order = ["higher-order", "--f", "k^2", "--forbidden", str(words)]
+        for argv, message in [
+            (["sweep", "--n-grid", "1e999999999"], "float range"),
+            (["sweep", "--n-grid=-1e999999999"], "float range"),
+            (["sweep", "--n-grid", "1e-999999999"], "positive integers"),
+            ([*higher_order, "--n-grid", "1e400"], "float range"),
+            ([*higher_order, "--n-grid", "inf"], "positive integers"),
+        ]:
+            proc = assert_refused_in_child(*argv, golden_23, timeout=10)
+            assert message in proc.stderr, argv
 
     def test_json_format(self, capsys, golden_12):
         code, out, _ = run(capsys, "sweep", "--n-grid", "1e3,1e4", "--format", "json", golden_12)

@@ -19,7 +19,7 @@ from affdim import (
     system_from_json_dict,
     validate_system,
 )
-from affdim.core import _div_int, _matmul, truncation_index
+from affdim.core import _div_int, _first_index, _matmul, truncation_index
 from conftest import FULL2, GOLDEN, PERIODIC, random_binary_matrix, random_irreducible
 import random
 
@@ -291,6 +291,19 @@ class TestTruncationIndex:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="positive and finite"):
             truncation_index(self.TAILS["halving"], 1, 0.0)
+
+    @given(st.integers(-50, 50), st.integers(0, 5000))
+    def test_first_index_of_a_monotone_test(self, start, offset):
+        # the search that truncation_index and GrowthMap.count_upto share
+        first = start + offset
+        asked = []
+
+        def holds(i):
+            asked.append(i)
+            return i >= first
+
+        assert _first_index(holds, start) == first
+        assert min(asked) >= start
 
 
 class TestDivInt:

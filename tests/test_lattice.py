@@ -140,6 +140,18 @@ class TestDecompose:
                 assert successor(x, s) == y
             assert c.window_count <= c.full_length
 
+    @pytest.mark.parametrize("pqab", [(2, 3, 0, 0), (2, 4, 0, 1), (1, 2, 0, 0), (2, 6, 0, 2)])
+    def test_one_successor_call_per_step(self, monkeypatch, pqab):
+        # each window member steps once, and a finite orbit once more per
+        # member past the window
+        import affdim.lattice as lattice
+
+        s = sys_golden(*pqab)
+        calls = []
+        monkeypatch.setattr(lattice, "successor", lambda x, sys: calls.append(x) or successor(x, sys))
+        chains = decompose(60, s).chains
+        assert len(calls) == sum(len(c.positions) if c.truncated else c.full_length for c in chains)
+
 
 def assert_walks_match(n, s):
     """chain_walk, chain_levels and orbit_lengths agree with decompose chain

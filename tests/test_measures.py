@@ -19,12 +19,10 @@ from affdim.measures import (
     stationary_chain_measure,
 )
 from affdim.oracle import admissible_words, window_pairs
-from conftest import BATTERY, GOLDEN, SPARSE5, random_irreducible, sys_full, sys_golden
+from conftest import BATTERY, GOLDEN, MIXED3, SPARSE5, random_irreducible, sys_full, sys_golden
 
 
 PERIODIC3 = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
-#: primitive, with row sums 3, 1, 2, so no chain law is uniform
-MIXED3 = ((1, 1, 1), (1, 0, 0), (0, 1, 1))
 #: (matrix, p, q, a, b) over every case tag and matrix shape the sampler sees
 SAMPLED_SYSTEMS = [(GOLDEN, *pqab) for pqab in BATTERY] + [
     (PERIODIC3, 1, 2, 0, 0),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,9 @@ from conftest import (
     BATTERY,
     FULL2,
     GOLDEN,
+    MIXED3,
     PERIODIC,
+    SPARSE5,
     edge_tolerances,
     random_irreducible,
     reference_truncation,
@@ -97,6 +100,8 @@ class TestDivisible:
     def test_rejects_non_divisible(self):
         with pytest.raises(InvalidSystemError):
             dimension_divisible(sys_golden(2, 4, 0, 1))
+        with pytest.raises(InvalidSystemError, match="belongs to the divisible case"):
+            series_evaluation(sys_golden(2, 4, 0, 1))
 
 
 class TestSeries:
@@ -292,3 +297,29 @@ class TestConvergence:
             for mat in matrices:
                 report = dimension(validate_system(*pqab, mat), tol=1e-9)
                 assert 0.0 <= report.value <= 1.0 + 1e-12
+
+
+def series_fingerprint() -> str:
+    """sha256 over the value, N, tail bound and rounding bound of the three
+    series functions, the floats as ``float.hex``, on three matrices, the
+    four case tags and three tolerances.  ``to_dict`` leaves rounding_bound
+    out, so no report digest sees it; this one does."""
+    lines = []
+    for rows in (GOLDEN, MIXED3, SPARSE5):
+        for pqab in ((1, 2, 0, 0), (2, 3, 0, 0), (4, 6, 1, 3), (2, 4, 0, 0), (2, 4, 0, 1)):
+            s = validate_system(*pqab, rows)
+            for tol in (1e-8, 1e-12, 5e-324):
+                r = dimension_classical(s.q, s.matrix, tol)
+                fields = [(r.value, r.truncation_index, r.tail_bound, r.rounding_bound)]
+                if s.divisible:
+                    r, ev = dimension_divisible(s, tol), series_evaluation(s, tol)
+                    fields.append((r.value, r.truncation_index, r.tail_bound, r.rounding_bound))
+                    fields.append((ev.partial_sum, ev.terms_used, ev.tail_bound, ev.rounding_bound))
+                lines += [f"{v.hex()} {N} {t.hex()} {e.hex()}" for v, N, t, e in fields]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestSeriesPins:
+    def test_series_floats_are_pinned(self):
+        # recorded before the three functions shared one summation routine
+        assert series_fingerprint() == "c8e09e7912ed40982c633b3d1b23fcdba5ddec946ae71e10e202d49538edb222"

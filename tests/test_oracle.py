@@ -223,6 +223,15 @@ class TestBruteForce:
         with pytest.raises(InvalidSystemError, match="too large"):
             brute_force_count(40, sys_golden(1, 2, 0, 0), method="dfs")
 
+    def test_window_is_checked_before_the_method(self):
+        s = sys_golden(2, 3, 0, 0)
+        with pytest.raises(ValueError, match="window size must be >= 1, got 0"):
+            brute_force_count(0, s, method="bogus")
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            brute_force_count(5, s, method="bogus")
+        with pytest.raises(ValueError, match="window size must be >= 1, got 0"):
+            brute_force_counts_upto(0, s)
+
     def test_count_bounds(self):
         for pqab in BATTERY:
             s = sys_golden(*pqab)
