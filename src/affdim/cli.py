@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys as _sys
 from decimal import Decimal, InvalidOperation
 
@@ -44,9 +45,12 @@ def _parse_grid(text: str) -> list[int]:
             continue
         # Decimal reads the entry exactly, where float() would round past
         # 2**53, and keeps its exponent apart, so 1e999999999 is read at once;
-        # no "p/q" form, and Decimal's own refusal of "abc" is not shown
+        # it refuses exponents past about 10^18, so one of 10^9 or more is
+        # read as 999999999, which leaves the entry as far past the float
+        # range, or below 1; no "p/q" form, and Decimal's own refusal of
+        # "abc" is not shown
         try:
-            value = Decimal(part)
+            value = Decimal(re.sub(r"([eE][+-]?)0*[1-9][0-9]{9,}$", r"\g<1>999999999", part))
         except InvalidOperation:
             value = Decimal("nan")
         if value.is_finite() and math.isinf(float(value)):

@@ -9,8 +9,9 @@ and a non-divisible pair, the length-2 chain, weights first letters by row
 sums to the power p1/q1 = p/q.  The window prefix measure is the product of
 the per-chain measures of the restricted words, so sampled prefixes are
 admissible by construction.
-Drawing and scoring read one table of laws indexed by (family, level,
-previous letter) over the levels of lattice's walk, through one log2 step.
+``_law_table``, the one reading of a family's levels off the stream, lays
+them out by (family, level, previous letter) for the per-family views and
+``PrefixMeasure``, whose draws read the log2 terms of its level loop's rows.
 """
 
 from __future__ import annotations
@@ -88,16 +89,37 @@ def _stream(sys: AffineSystem, count: int) -> list:
     return list(islice(chain([[1.0] * sys.m], _levels(sys.matrix, sys.p1 / sys.q1)), count))
 
 
-def _chain_laws(sys: AffineSystem, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_laws`` of the first ``count`` stream levels.  Each level's laws
-    are formed once, whatever the number of chain lengths that read them."""
-    return _laws(sys, _stream(sys, count))
+def _law_table(sys: AffineSystem, keys, depth: int) -> np.ndarray:
+    """laws[f, j, x], the law of a chain's letter at level j < ``depth``
+    after letter x, for the ascending family keys[f] (a full length i, or 0
+    for infinite chains), from one ``_laws`` call.  Level 0 repeats the
+    first-letter law.  Length i reads stream level i - 1 at level 0, the
+    rows of level i - 1 - j at level j and the zero law past its end; key 0
+    reads the fixed point of the stream's map, ``power_fixed_point`` at
+    exponent q1, at every level.  Each stream level is formed once."""
+    import numpy as np
+
+    keys = np.asarray(keys)
+    weights = _stream(sys, int(keys[-1]))
+    if keys[0] == 0:
+        weights.append(power_fixed_point(sys.matrix, sys.q1).values)
+    firsts, weight_rows = _laws(sys, weights)
+    # rows[s] holds the rows of weight row s - 1, rows[0] the zero law, and
+    # the last weight row (the fixed point when some key is 0) is row -1
+    rows = np.concatenate([np.zeros((1, sys.m, sys.m)), weight_rows])
+    laws = np.empty((len(keys), depth, sys.m, sys.m))
+    laws[:, 0] = firsts[keys - 1, None]
+    finite = np.maximum(keys[:, None] - np.arange(1, depth), 0)
+    laws[:, 1:] = rows[np.where(keys[:, None] == 0, -1, finite)]
+    return laws
 
 
-def _as_measure(length: int | None, first: np.ndarray, transitions: np.ndarray) -> ChainMeasure:
-    """A ChainMeasure of one first-letter law and a stack of transition rows."""
-    levels = tuple(tuple(map(tuple, level)) for level in transitions.tolist())
-    return ChainMeasure(length=length, first=tuple(first.tolist()), transitions=levels)
+def _family_measure(sys: AffineSystem, key: int) -> ChainMeasure:
+    """The ChainMeasure of family ``key`` of ``_law_table``: a full length
+    read over its own levels, or key 0 (infinite chains) over two."""
+    laws = _law_table(sys, [key], key or 2)[0]
+    levels = tuple(tuple(map(tuple, level)) for level in laws[1:].tolist())
+    return ChainMeasure(length=key or None, first=tuple(laws[0, 0].tolist()), transitions=levels)
 
 
 def pair_measure(sys: AffineSystem) -> ChainMeasure:
@@ -108,8 +130,7 @@ def pair_measure(sys: AffineSystem) -> ChainMeasure:
         raise InvalidSystemError(
             f"pair measure belongs to the non-divisible case, got {sys.case_tag.value}"
         )
-    firsts, rows = _chain_laws(sys, 2)
-    return _as_measure(2, firsts[1], rows[:1])
+    return _family_measure(sys, 2)
 
 
 def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
@@ -120,8 +141,8 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
     to P_(i-2), the letter after level l < i-1 follows row-normalized
     A·diag(P_(i-2-l)), and the last one is uniform over admissible
     continuations.  These are the laws of ``chain_potential(i)``'s tables,
-    float for float (see ``dimension_divisible``).  They are formed by
-    ``_laws``, as ``PrefixMeasure``'s table is.
+    float for float (see ``dimension_divisible``).  They are family i of
+    ``_law_table``, as in ``PrefixMeasure``'s table.
     """
     if i == 1:
         return letter_measure(sys.m)
@@ -131,20 +152,18 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
         )
     if i < 1:
         raise ValueError(f"chain measure is defined for lengths >= 1, got {i}")
-    firsts, rows = _chain_laws(sys, i)
-    return _as_measure(i, firsts[-1], rows[-2::-1])
+    return _family_measure(sys, i)
 
 
 def stationary_chain_measure(sys: AffineSystem) -> ChainMeasure:
-    """Markov law on infinite chains (p1 = 1): the ``_laws`` of the fixed
-    point of the stream's map, ``power_fixed_point`` at exponent q1, which
-    weights the first letters and every level's transitions."""
+    """Markov law on infinite chains (p1 = 1): family 0 of ``_law_table``,
+    the ``_laws`` of the fixed point of the stream's map, which weights the
+    first letters and every level's transitions."""
     if sys.p1 != 1 or not sys.divisible:
         raise InvalidSystemError(
             "stationary chain measure requires infinite chains (p1 = 1)"
         )
-    firsts, rows = _laws(sys, [power_fixed_point(sys.matrix, sys.q1).values])
-    return _as_measure(None, firsts[0], rows)
+    return _family_measure(sys, 0)
 
 
 class PrefixMeasure:
@@ -155,19 +174,14 @@ class PrefixMeasure:
     ``chain_levels``: a chain's letter at level j follows its family's law
     at level j given its letter at level j - 1.
 
-    The build fixes everything a draw would otherwise recompute.  The law
-    table is filled from one ``_laws`` call for every case tag: the stream
-    levels up to the longest finite chain and, when some chain is infinite,
-    the fixed point.  The positions are kept in level order: one
-    permutation of the 0-based positions (level 0, then level 1, and so
-    on), the row base of each in that order (its family's first row plus
-    the level offset), each level's slice bounds, and the mask of the
-    chains that go on to the next level.  A draw gathers its variates into
-    level order once and works on each level's contiguous slice, adding
-    only the previous letters to the bases.  Scoring knows every letter, so
-    it finds all previous letters in one pass.  Both then take the log2
-    terms in one gather and scatter them back to position order once, with
-    the letters of a draw.
+    The build fixes everything a draw would otherwise recompute, in one
+    loop over the levels: the level order of the 0-based positions, the
+    mask of the chains that go on, each level's slice bounds, and each
+    position's row base in the level-major ``_law_table`` of the families
+    from the shortest orbit to the longest.  A draw gathers its variates
+    into level order once and works on each level's contiguous slice,
+    adding only the previous letters to the bases.  Scoring knows every
+    letter, so it finds all previous letters in one pass.
     """
 
     def __init__(self, sys: AffineSystem, n: int):
@@ -183,89 +197,56 @@ class PrefixMeasure:
         lengths = orbit_lengths(starts, sys)
         shortest = int(lengths.min())
         keys = np.arange(shortest, int(lengths.max()) + 1)
-        # every position lies on one level, so the 0-based positions in
-        # level order are a permutation; level j is order[lo:hi], and
-        # goes_on[lo:hi] masks its chains whose next member is on level
-        # j + 1, order[hi:end]
+        # the 0-based positions in level order are a permutation; level j is
+        # order[lo:hi], and goes_on[lo:hi] masks its chains whose next member
+        # is on level j + 1, order[hi:end].  Flat row (j*F + f)*m + x of the
+        # F families' table holds laws[f, j, x], so a chain of family
+        # f = length - shortest has base f*m at level 0 and F*m more at each
+        # next level; the table is far smaller than 2**31
         order = np.empty(n, dtype=np.int64)
         goes_on = np.empty(n, dtype=bool)
+        base = np.empty(n, dtype=np.int32)
+        np.multiply(lengths - shortest, m, out=base[: len(starts)], dtype=np.int32)
+        del lengths
         bounds = []
         hi = 0
         for pos, more in chain([(starts, more)], levels):
             lo, hi = hi, hi + len(pos)
+            end = hi + int(np.count_nonzero(more))
             np.subtract(pos, 1, out=order[lo:hi])
             goes_on[lo:hi] = more
-            bounds.append((lo, hi, hi + int(np.count_nonzero(more))))
+            np.add(base[lo:hi].compress(more), len(keys) * m, out=base[hi:end])
+            bounds.append((lo, hi, end))
         del starts, pos, more
-        depth = len(bounds)
-        # laws[f, j, x] is the law of the letter at level j after letter x;
-        # level 0 repeats the first-letter law, as it has no previous letter.
-        # Length i reads weight row i - 1 at level 0 and the rows of weight
-        # row i - 1 - j at level j; key 0 reads the last weight row, the
-        # fixed point, at every level.  rows[s] holds the rows of weight row
-        # s - 1, and rows[0] the zero law past the chain's end
-        weights = _stream(sys, int(keys[-1]))
-        if shortest == 0:
-            weights.append(power_fixed_point(sys.matrix, sys.q1).values)
-        firsts, weight_rows = _laws(sys, weights)
-        rows = np.concatenate([np.zeros((1, m, m)), weight_rows])
-        laws = np.empty((len(keys), depth, m, m))
-        laws[:, 0] = firsts[keys - 1, None]
-        finite = np.maximum(keys[:, None] - np.arange(1, depth), 0)
-        laws[:, 1:] = rows[np.where(keys[:, None] == 0, len(firsts), finite)]
         # the table the draws read, kept for inspection: family f is
         # families[f], a full length or "inf"
         self.families = tuple(key or "inf" for key in keys.tolist())
-        self.laws = laws
-        laws = laws.reshape(-1, m)
+        self.laws = _law_table(sys, keys, len(bounds))
+        laws = self.laws.transpose(1, 0, 2, 3).reshape(-1, m)
         cdf = np.cumsum(laws, axis=1)
         cdf[:, -1] = 1.0 + 1e-12  # zero-mass letters stay unreachable
         # a variate u < 1 never reaches the last entry, so it is not compared
         self._cdf_columns = cdf.T[:-1].copy()
         self._log2 = np.where(laws > 0, np.log2(np.maximum(laws, 1e-300)), -np.inf).ravel()
-        # flat row (f*depth + j)*m + x holds laws[f, j, x]; the base of a
-        # chain of family f = length - shortest at level j is (f*depth + j)*m,
-        # and the table is far smaller than 2**31
-        base = np.empty(n, dtype=np.int32)
-        lo, hi, _ = bounds[0]
-        np.multiply(lengths - shortest, depth * m, out=base[lo:hi], dtype=np.int32)
-        del lengths
-        for lo, hi, end in bounds:
-            np.add(base[lo:hi].compress(goes_on[lo:hi]), m, out=base[hi:end])
         self._order = order
         self._base = base
         self._more = goes_on
         self._levels = bounds
-
-    def _log2_terms(self, lets, previous) -> np.ndarray:
-        """Per-position log2 probabilities of the level-ordered letters
-        ``lets``, each read from its chain's row after ``previous``, the
-        letter before it on its chain (0 on level 0), scattered back to
-        position order."""
-        import numpy as np
-
-        # int64 indices: take copies narrower ones to int64 first
-        idx = np.add(self._base, previous, dtype=np.int64)
-        idx *= self.sys.m
-        idx += lets
-        log2p = self._log2.take(idx)
-        del idx
-        by_position = np.empty(self.n)
-        by_position[self._order] = log2p
-        return by_position
 
     def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Draw one admissible prefix; returns (letters, -log2 probability).
 
         One uniform variate is drawn per position, so the output depends
         only on the generator state, not on chain processing order.  The
-        letter is the number of CDF entries <= u.
+        letter is the number of CDF entries <= u.  Each level's log2 terms
+        are read at rows*m + letter from the rows its draw gathered.
         """
         import numpy as np
 
+        m = self.sys.m
         u = rng.random(self.n).take(self._order)
         # the narrowest letter type keeps the level-ordered letters small
-        lets = np.zeros(self.n, dtype=np.min_scalar_type(self.sys.m - 1))
+        lets = np.zeros(self.n, dtype=np.min_scalar_type(m - 1))
         previous = np.zeros_like(lets)
         for lo, hi, end in self._levels:
             rows = np.add(self._base[lo:hi], previous[lo:hi], dtype=np.int64)
@@ -273,15 +254,25 @@ class PrefixMeasure:
             for column in self._cdf_columns:
                 out += column.take(rows) <= take
             out.compress(self._more[lo:hi], out=previous[hi:end])
-        del u, rows, take  # before the log2 terms, which need n-long arrays
-        neg_log2 = -float(self._log2_terms(lets, previous).sum())
+            # the level's variates are spent: their slots take its log2 terms
+            # (unbuffered in mode "clip", and every row is in range)
+            rows *= m
+            rows += out
+            self._log2.take(rows, out=take, mode="clip")
+        log2p = np.empty(self.n)
+        log2p[self._order] = u
+        del u, take
+        neg_log2 = -float(log2p.sum())
+        del log2p
         # scattered in the narrow type, which moves fewer bytes
         letters = np.empty_like(lets)
         letters[self._order] = lets
         return letters.astype(np.int64), neg_log2
 
     def neg_log_prob(self, word) -> float:
-        """-log_m of the prefix probability of ``word`` (inf if excluded)."""
+        """-log_m of the prefix probability of ``word`` (inf if excluded),
+        from one gather of the log2 terms at (base + previous)*m + letter,
+        summed in position order as a draw sums them."""
         import numpy as np
 
         word = np.asarray(word, dtype=np.int64)
@@ -297,7 +288,15 @@ class PrefixMeasure:
         # levels in order (the last level's mask is all False)
         previous = np.zeros_like(lets)
         lets.compress(self._more, out=previous[self._levels[0][1] :])
-        return -float(self._log2_terms(lets, previous).sum()) / math.log2(m)
+        # int64 indices: take copies narrower ones to int64 first
+        idx = np.add(self._base, previous, dtype=np.int64)
+        idx *= m
+        idx += lets
+        log2p = self._log2.take(idx)
+        del idx  # freed first, so the copy in position order can reuse it
+        by_position = np.empty(self.n)
+        by_position[self._order] = log2p
+        return -float(by_position.sum()) / math.log2(m)
 
 
 def sample_prefix(sys: AffineSystem, n: int, seed: int) -> np.ndarray:

@@ -467,6 +467,10 @@ class TestSweep:
             (["sweep", "--n-grid", "1e999999999"], "float range"),
             (["sweep", "--n-grid=-1e999999999"], "float range"),
             (["sweep", "--n-grid", "1e-999999999"], "positive integers"),
+            # exponents past Decimal's limit of about 10^18
+            (["sweep", "--n-grid", "1e1000000000000000000000"], "float range"),
+            (["sweep", "--n-grid=-1e1000000000000000000000"], "float range"),
+            (["sweep", "--n-grid", "1e-1000000000000000000000"], "positive integers"),
             ([*higher_order, "--n-grid", "1e400"], "float range"),
             ([*higher_order, "--n-grid", "inf"], "positive integers"),
         ]:

@@ -8,6 +8,9 @@ Y, plus SLACK.
 - H <= M: the Hausdorff dimension is at most the Minkowski dimension.
 - Relabelling the letters (A -> P A P^T) changes neither dimension.
 - Adding a 1-entry to A enlarges the set, so neither dimension falls.
+- The window counts tend to the Minkowski dimension: log_m of the number
+  of admissible patterns of length 10^18, over 10^18, lies within the
+  Minkowski report's bounds plus SLACK.
 
 The all-ones matrix's dimension 1 is not checked here: the classical and
 degenerate Hausdorff reports miss it by up to about 3e-14, past their
@@ -113,3 +116,12 @@ def test_a_new_entry_lowers_neither_dimension(pqab, matrix, tol, rng):
     larger = TransitionMatrix.from_rows(rows)
     for smaller, bigger in zip(dimensions(pqab, matrix, tol), dimensions(pqab, larger, tol)):
         assert at_most(smaller, bigger)
+
+
+@given(systems, matrices(), tolerances)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_pattern_counts_tend_to_minkowski(pqab, matrix, tol):
+    s = validate_system(*pqab, matrix)
+    M = minkowski.dimension(s, tol)
+    gap = abs(minkowski.empirical_dimension(10**18, s) - M.value)
+    assert gap <= M.tail_bound + M.rounding_bound + SLACK

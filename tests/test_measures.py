@@ -10,7 +10,8 @@ from affdim import CaseTag, InvalidSystemError, chain_density, decompose, valida
 from affdim.hausdorff import _levels, chain_potential, dimension as dim_h, power_fixed_point
 from affdim.measures import (
     PrefixMeasure,
-    _chain_laws,
+    _laws,
+    _stream,
     chain_measure,
     empirical_local_dimension,
     letter_measure,
@@ -43,6 +44,12 @@ CHAIN_LAW_DIGESTS = [
     (MIXED3, (4, 6, 1, 3), "03dfa39e6491092c34fb206ce5cda65258c29c607ac488b07719253098fe095b"),
     (MIXED3, (2, 5, 1, 0), "64d0d3b693f4745c162630dd8c42eec171216e8fae783ddfaa7f4e3983b3da87"),
 ]
+
+#: sha256 of repr((first, transitions)) of ``pair_measure`` on golden
+#: (2,4;0,1), MIXED3 and SPARSE5 (4,6;0,1), then ``stationary_chain_measure``
+#: for (1,2;0,0) and (2,4;0,0) on each of the three, recorded while each view
+#: sliced its own laws out of the stream
+VIEW_LAW_DIGEST = "27a4f51fcbd1b7ebd08d4255e46f866eb8c38ee3ae6447539f4e0eba140e4deb"
 
 
 def marginal_entropy(measure, matrix, j: int) -> float:
@@ -214,7 +221,7 @@ class TestChainLaws:
             ])
             s = validate_system(*pqab, random_irreducible(m, rng))
             count = rng.randint(1, 30)
-            firsts, rows = _chain_laws(s, count)
+            firsts, rows = _laws(s, _stream(s, count))
             expected = self.reference(s, count)
             assert firsts.tolist() == [first for first, _ in expected]
             assert rows.tolist() == [level_rows for _, level_rows in expected]
@@ -230,6 +237,20 @@ class TestStationaryMeasure:
     def test_rejects_finite_chain_case(self):
         with pytest.raises(InvalidSystemError):
             stationary_chain_measure(sys_golden(2, 3, 0, 0))
+
+    def test_pair_and_stationary_laws_pinned(self):
+        h = hashlib.sha256()
+        views = [(pair_measure, GOLDEN, (2, 4, 0, 1))]
+        views += [(pair_measure, rows, (4, 6, 0, 1)) for rows in (MIXED3, SPARSE5)]
+        views += [
+            (stationary_chain_measure, rows, pqab)
+            for pqab in [(1, 2, 0, 0), (2, 4, 0, 0)]
+            for rows in (GOLDEN, MIXED3, SPARSE5)
+        ]
+        for view, rows, pqab in views:
+            mu = view(validate_system(*pqab, rows))
+            h.update(repr((mu.first, mu.transitions)).encode())
+        assert h.hexdigest() == VIEW_LAW_DIGEST
 
 
 class TestSampling:
