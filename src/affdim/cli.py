@@ -5,7 +5,8 @@ subcommands on it, and emits machine-readable reports (JSON, or CSV for
 sweeps).  Reports embed the resolved configuration and the library version
 so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 validation or input error, 2 numerical failure.
+Exit codes: 0 success, 1 validation or input error or a stdout pipe closed
+by its reader, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys as _sys
 from decimal import Decimal, InvalidOperation
@@ -234,16 +236,15 @@ def cmd_higher_order(args, system: AffineSystem, config: dict) -> None:
     words = frozenset(tuple(int(ch) for ch in str(w)) for w in data["words"])
     maps = tuple(higher_order.parse_growth(text) for text in args.f or [])
     hos = higher_order.HigherOrderSystem(base=system, forbidden=words, growth_maps=maps)
-    grid = _parse_grid(args.n_grid)
+    rows = []
+    # every row is computed before any is printed, so a refusal prints none
+    for n in _parse_grid(args.n_grid):
+        measured, bound = higher_order.affected_density(n, hos)
+        gap = repr(higher_order.dim_gap_empirical(n, hos)) if n <= args.max_enumeration else ""
+        rows.append(f"{n},{measured!r},{bound!r},{gap}")
     print("# affdim", __version__, "higher-order", json.dumps(config, sort_keys=True))
     print("n,measured,bound,empirical_gap")
-    for n in grid:
-        measured, bound = higher_order.affected_density(n, hos)
-        if n <= args.max_enumeration:
-            gap = repr(higher_order.dim_gap_empirical(n, hos))
-        else:
-            gap = ""
-        print(f"{n},{measured!r},{bound!r},{gap}")
+    print(*rows, sep="\n")
 
 
 @functools.cache
@@ -312,6 +313,12 @@ def main(argv=None) -> int:
     try:
         system = load_system(args.system)
         args.fn(args, system, _config(args, system))
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left in the buffer goes to the
+        # null device when the interpreter flushes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 1
     except (InvalidSystemError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -4,6 +4,12 @@ The constraint pairs (p*k+a, q*k+b) link positions into maximal chains under
 the successor map x -> q*(x-a)/p + b.  This module produces the chains, the
 census counting chains by total length and by window length, and the exact
 rational limit densities those counts converge to.
+
+The map is written once, as its two sides (p, a) and (q, b), and read either
+way round: ``_image`` steps one position forward or back, and
+``_progressions`` solves for the depth levels (forward) and the height
+levels (back) as arithmetic progressions, behind ``window_counts`` and
+``orbit_lengths``.
 """
 
 from __future__ import annotations
@@ -16,32 +22,61 @@ from typing import NamedTuple
 from .core import AffineSystem, CaseTag, InvalidSystemError
 
 
-def successor(x: int, sys: AffineSystem) -> int | None:
-    """Next position linked to x, or None when x ends its chain.
-
-    x = p*k+a maps to q*k+b provided k is an integer and k >= k_min (both
-    endpoints of the pair land at index >= 1).
-    """
+def _image(x: int, src: tuple[int, int], dst: tuple[int, int], k_min: int) -> int | None:
+    """dst(k) for the index k >= k_min with src(k) = x, or None when there is
+    none; each side is a pair (mul, off) standing for k -> mul*k + off."""
     if x < 1:
         raise ValueError(f"positions are 1-based, got {x}")
-    if (x - sys.a) % sys.p != 0:
+    (mul, off), (image_mul, image_off) = src, dst
+    k, rest = divmod(x - off, mul)
+    if rest or k < k_min:
         return None
-    k = (x - sys.a) // sys.p
-    if k < sys.k_min:
-        return None
-    return sys.q * k + sys.b
+    return image_mul * k + image_off
+
+
+def successor(x: int, sys: AffineSystem) -> int | None:
+    """Next position linked to x, or None when x ends its chain: x = p*k+a
+    maps to q*k+b for an index k >= k_min (both ends of the pair >= 1)."""
+    return _image(x, (sys.p, sys.a), (sys.q, sys.b), sys.k_min)
 
 
 def predecessor(x: int, sys: AffineSystem) -> int | None:
     """Position mapping onto x under the successor map, or None."""
-    if x < 1:
-        raise ValueError(f"positions are 1-based, got {x}")
-    if (x - sys.b) % sys.q != 0:
-        return None
-    k = (x - sys.b) // sys.q
-    if k < sys.k_min:
-        return None
-    return sys.p * k + sys.a
+    return _image(x, (sys.q, sys.b), (sys.p, sys.a), sys.k_min)
+
+
+def _progressions(
+    bound: int, sys: AffineSystem, src: tuple[int, int], dst: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """(first, step) of each level t = 1, 2, ... that meets {1, ..., bound}.
+
+    Level 0 holds every position, level t the dst(k), k >= k_min, whose
+    src(k) is in level t - 1; a side (mul, off) stands for k -> mul*k + off.
+    Forward, src = (p, a) and dst = (q, b), level t holds the positions of
+    depth >= t (with a t-th predecessor); back, with the sides swapped, of
+    height >= t (with a t-th successor).  src(k) lies in level (first, step)
+    iff src(k) >= first and k = k0 mod step // gcd(mul, step): one modular
+    inverse per level.  The levels are nested, so the list ends at an empty
+    level or at a first past the bound.  A listed step is capped at
+    bound + 1, which keeps the members in the window, but the exact step is
+    carried on: going back, a member past the bound can map inside it.
+    """
+    (mul, off), (image_mul, image_off) = src, dst
+    k_min = sys.k_min
+    levels = []
+    first, step = 1, 1
+    while True:
+        g = math.gcd(mul, step)
+        if (first - off) % g:
+            return levels
+        mod = step // g
+        k0 = (first - off) // g * pow(mul // g, -1, mod) % mod
+        lo = max(k_min, -((off - first) // mul))
+        first = image_mul * (lo + (k0 - lo) % mod) + image_off
+        if first > bound:
+            return levels
+        step = image_mul * mod
+        levels.append((first, min(step, bound + 1)))
 
 
 def _check_window(n: int, sys: AffineSystem) -> None:
@@ -178,14 +213,11 @@ class ChainWalk(NamedTuple):
 
 
 def _check_int64(n: int, sys: AffineSystem) -> None:
-    # the largest magnitudes chain_walk forms: positions and their offsets,
-    # successor images q*k + b of window positions, and w = (q1-p1)*k + c
+    # the largest magnitude chain_walk forms: the successor image q*k + b of
+    # a window position; it bounds the positions, their offsets and
+    # w = (q1-p1)*k + c (see orbit_lengths)
     reach = (n + abs(sys.a)) // sys.p + 1
-    largest = max(
-        sys.q * reach + abs(sys.b),
-        (sys.q1 - sys.p1) * reach + abs(sys.c or 0),
-    )
-    if largest > 2**63 - 1:
+    if sys.q * reach + abs(sys.b) > 2**63 - 1:
         raise InvalidSystemError(
             f"window n={n} of {sys.describe()} takes the vectorized chain walk "
             f"past the int64 range; decompose and window_counts are exact"
@@ -239,49 +271,26 @@ def chain_levels(n: int, sys: AffineSystem):
 def orbit_lengths(starts: np.ndarray, sys: AffineSystem) -> np.ndarray:
     """Full orbit length at each chain start of ``chain_levels``, 0 if infinite.
 
-    No walk past the window and no division is needed.  A start s has a
-    successor iff s = p*k0 + a with k0 >= k_min; otherwise its orbit is {s}.
-    The image q*k + b of index k is a + d*(q1*k + c) in the divisible case,
-    which is again p*k' + a iff p1 divides q1*k + c, that is iff p1 divides
-    w(k) = (q1 - p1)*k + c; then k' = k + w(k)/p1 and w(k') = (q1/p1)*w(k).
-    The first pair increases, so w > 0 and k' > k >= k_min: every such step
-    is taken.  Since q1 is prime to p1, each step removes exactly one factor
-    p1 from w.  So with p1 >= 2 the orbit has 2 + v(w(k0)) members, v
-    counting how often p1 divides; with p1 = 1 every step is taken and the
-    orbit is infinite.  In the non-divisible case d never divides the image
-    minus a, so the orbit is the pair {s, q*k0 + b}.
-
-    The lengths are counted per position, by strided slices, up to the
-    largest start: each position starts at 1, the progression p*k + a with
-    k >= k_min adds 1, and for e = 1, 2, ... the positions whose w(k) is
-    divisible by p1^e add 1 more.  As q1 - p1 is prime to p1, those k form
-    the class k = -c * (q1 - p1)^-1 mod p1^e, a progression of step
-    p * p1^e from its first member k >= k_min.  Since w(k) >= p1^e on it,
-    its first member passes the largest start after O(log n) values of e.
-    Orbits are shorter than 70 positions wherever the walk stays in int64,
-    so the counts, and the returned lengths, are uint8.
+    A start with a t-th successor and no (t+1)-th has 1 + t members, so each
+    position up to the largest start counts 1 plus the height levels of
+    ``_progressions`` it lies in, one strided slice per level.  With p1 = 1
+    in the divisible case an orbit that advances once never ends (see
+    ``_infinite_orbits``) and the levels never empty, so the positions
+    p*k + a, k >= k_min, are marked 0 instead.  Otherwise uint8 suffices:
+    the successor of p*k + a multiplies w = (q1 - p1)*k + c by q1/p1, so an
+    orbit of t + 2 members needs p1^t to divide w at its start, and w stays
+    below the bound ``_check_int64`` puts on q*k + b; so t < 63 when
+    p1 >= 2, and a non-divisible orbit is a pair.
     """
     import numpy as np
 
-    p, a, k_min = sys.p, sys.a, sys.k_min
     top = int(starts.max(initial=0))
     counts = np.ones(top + 1, dtype=np.uint8)
     if _infinite_orbits(sys):
-        counts[p * k_min + a :: p] = 0
-        return counts[starts]
-    counts[p * k_min + a :: p] += 1
-    if sys.case_tag is CaseTag.DIVISIBLE_GENERAL:
-        p1, slope, c = sys.p1, sys.q1 - sys.p1, sys.c
-        modulus = p1
-        while True:
-            k = k_min + (-c * pow(slope, -1, modulus) - k_min) % modulus
-            first = p * k + a
-            if first > top:
-                break
-            # a step past the array leaves one member; capping it keeps the
-            # slice within the index range
-            counts[first :: min(p * modulus, top + 1)] += 1
-            modulus *= p1
+        counts[sys.p * sys.k_min + sys.a :: sys.p] = 0
+    else:
+        for first, step in _progressions(top, sys, (sys.q, sys.b), (sys.p, sys.a)):
+            counts[first::step] += 1
     return counts[starts]
 
 
@@ -319,31 +328,12 @@ def empirical_census(n: int, sys: AffineSystem) -> Census:
 
 
 def _depth_progressions(n: int, sys: AffineSystem) -> list[tuple[int, int]]:
-    """(first, step) of the positions x <= n of depth >= t, those with a
-    t-th predecessor, for t = 1, 2, ... up to the last nonempty level: the
-    image of the successor map f applied t times.  Each level solves
-    p*k + a = first + step*i (one gcd and one modular inverse), takes the
-    smallest such k >= k_min and maps it to q*k + b.  Since f(x) > x, a
-    member beyond n never maps back into the window, so a step past n is
-    capped at n + 1.  The list is built eagerly, after ``_check_window``."""
+    """(first, step) of the positions x <= n of depth >= t, those with a t-th
+    predecessor, for t = 1, 2, ... up to the last level that meets the
+    window: ``_progressions`` in the successor direction, after
+    ``_check_window``."""
     _check_window(n, sys)
-    p, q, a, b, k_min = sys.p, sys.q, sys.a, sys.b, sys.k_min
-    levels = []
-    first, step = 1, 1
-    while True:
-        # p*k + a lies in the progression iff k = k0 mod (step // g) and
-        # p*k + a >= first
-        g = math.gcd(p, step)
-        if (first - a) % g:
-            return levels
-        mod = step // g
-        k0 = (first - a) // g * pow(p // g, -1, mod) % mod
-        lo = max(k_min, -((a - first) // p))
-        first = q * (lo + (k0 - lo) % mod) + b
-        if first > n:
-            return levels
-        step = min(q * mod, n + 1)
-        levels.append((first, step))
+    return _progressions(n, sys, (sys.p, sys.a), (sys.q, sys.b))
 
 
 def window_counts(n: int, sys: AffineSystem) -> dict[int, int]:

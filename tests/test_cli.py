@@ -221,11 +221,11 @@ class TestMalformedInput:
 
 def run_in_child(*argv, env=(), **kwargs) -> subprocess.CompletedProcess:
     """The CLI in a child process, so that an escaping exception shows as a
-    traceback; ``env`` adds variables and ``kwargs`` go to subprocess.run."""
+    traceback; ``env`` adds variables and ``kwargs`` go to subprocess.run,
+    where they may replace the captured stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(affdim.__file__).parents[1]), **dict(env))
-    return subprocess.run(
-        [sys.executable, "-m", "affdim.cli", *argv], capture_output=True, text=True, env=env, **kwargs
-    )
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "affdim.cli", *argv], text=True, env=env, **options)
 
 
 def assert_refused_in_child(*argv, **kwargs) -> subprocess.CompletedProcess:
@@ -261,6 +261,26 @@ from affdim import measures
 print(json.dumps({"codes": codes, "loaded": loaded, "sample": [sample_code, out.getvalue()],
                   "measures": [affdim.measures is measures, measures.__name__]}))
 """
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [["billingsley", "--n", "1000", "--samples", "2", "--seed", "1"], ["decompose", "--n", "20000"]],
+        ids=["billingsley", "decompose"],
+    )
+    def test_closed_stdout_exits_one_quietly(self, golden_23, argv):
+        # the pipe's read end is closed before the child starts, so its
+        # writes fail whatever the timing, as when piped into `head -c 0`
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_in_child(*argv, golden_23, stdout=write, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestImports:
@@ -517,6 +537,15 @@ class TestHigherOrderCommand:
         last = lines[4].split(",")
         assert last[3] == ""  # enumeration infeasible at 1e6
         assert float(last[2]) < float(lines[3].split(",")[2])
+
+    def test_refusal_prints_no_partial_table(self, capsys, tmp_path):
+        # n = 16 has a row, n = 3 is refused: no header and no row is printed
+        words = tmp_path / "words.json"
+        words.write_text(json.dumps({"words": ["111"]}))
+        code, out, err = run(capsys, "higher-order", "--f", "k^2", "--forbidden", str(words),
+                             "--n-grid", "16,3", system_file(tmp_path, (2, 5, -3, 4)))
+        assert (code, out) == (1, "")
+        assert "need n >= q1 = 5" in err
 
     @pytest.mark.parametrize("growth", ["k^52", "k^320", "k^1000", "2*k^52.5"])
     def test_exponent_past_the_float_range_in_child(self, golden_23, tmp_path, growth):

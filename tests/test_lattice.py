@@ -20,6 +20,8 @@ from affdim import (
     window_length_density,
 )
 from affdim.lattice import (
+    _infinite_orbits,
+    _progressions,
     chain_density_column_tail,
     chain_levels,
     chain_walk,
@@ -300,6 +302,49 @@ class TestEmpiricalCensus:
         # odd positions: finite singletons; even chains: infinite orbits
         assert census.L.get((1, 1), 0) == 500
         assert sum(census.truncated.values()) == 250  # evens 2 mod 4
+
+
+def steps_from(x, s, step):
+    """How often ``step`` (successor or predecessor) applies from x."""
+    t = 0
+    while (x := step(x, s)) is not None:
+        t += 1
+    return t
+
+
+def assert_levels_are_the_walk(levels, bound, s, step):
+    """Level t holds exactly the x <= bound from which ``step`` applies at
+    least t times, and no x applies it more often than there are levels."""
+    walked = {x: steps_from(x, s, step) for x in range(1, bound + 1)}
+    for t, (first, stride) in enumerate(levels, 1):
+        assert 1 <= first <= bound and 1 <= stride <= bound + 1
+        assert set(range(first, bound + 1, stride)) == {x for x, steps in walked.items() if steps >= t}
+    assert max(walked.values()) <= len(levels)
+
+
+class TestProgressions:
+    @given(st.integers(1, 6), st.integers(2, 12), st.integers(-6, 6), st.integers(-6, 6),
+           st.integers(1, 400))
+    @example(2, 3, 0, 0, 1)  # bound 1, divisible general
+    @example(4, 10, 5, 1, 400)  # divisible general, p1 = 2 and c = -2
+    @example(1, 3, 1, 0, 400)  # classical, c < 0
+    @example(2, 4, 0, 0, 400)  # divisible degenerate
+    @example(2, 4, 0, 1, 400)  # non-divisible
+    @example(3, 5, 1, 0, 400)  # a > b with an increasing first pair
+    @example(2, 5, -3, 4, 400)  # a negative offset, k_min = 2
+    @settings(max_examples=200, deadline=None, derandomize=True, report_multiple_bugs=False)
+    def test_levels_are_the_scalar_walks(self, p, q, a, b, bound):
+        # depths forward in every case tag; heights back where orbits end.
+        # The first failure is reported at once: a solver with its sides
+        # swapped fails the examples above (1, 3, 1, 0) and never returns
+        # on that one
+        assume(p < q)
+        s = sys_golden(p, q, a, b)
+        assume(first_pair_increases(s))
+        forward, back = (s.p, s.a), (s.q, s.b)
+        assert_levels_are_the_walk(_progressions(bound, s, forward, back), bound, s, predecessor)
+        if not _infinite_orbits(s):
+            assert_levels_are_the_walk(_progressions(bound, s, back, forward), bound, s, successor)
 
 
 class TestWindowCounts:
