@@ -2,8 +2,9 @@
 
 Reads and validates a system description from JSON once, runs one of the
 subcommands on it, and emits machine-readable reports (JSON, or CSV for
-sweeps).  Reports embed the resolved configuration and the library version
-so identical invocations produce byte-identical output.
+tables).  Every command hands its fields or its table to one writer,
+``_writer``, which adds the command name, the resolved configuration and
+the library version, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 validation or input error or a stdout pipe closed
 by its reader, 2 numerical failure.
@@ -29,14 +30,25 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _config(args: argparse.Namespace, system: AffineSystem) -> dict:
-    """The report's resolved configuration: the version, the system and the
-    command's options."""
-    cfg = {"version": __version__, "system": system.to_json_dict()}
+def _writer(args: argparse.Namespace, system: AffineSystem):
+    """The command's report writer.  The configuration is resolved once: the
+    version, the system and the command's options.  ``write(fields)`` emits
+    one JSON line of the command name, the configuration and the fields;
+    ``write(header, rows)`` prints a comment line of the program, version,
+    command and configuration, then the CSV header and rows."""
+    config = {"version": __version__, "system": system.to_json_dict()}
     for key in ("kind", "tol", "n", "seed", "samples", "max_n", "format"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return {k: v for k, v in cfg.items() if v is not None}
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
+
+    def write(report, rows=None) -> None:
+        if rows is None:
+            _emit({"command": args.command, "config": config, **report})
+            return
+        print("# affdim", __version__, args.command, json.dumps(config, sort_keys=True))
+        print(report, *rows, sep="\n")
+
+    return write
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -65,26 +77,27 @@ def _parse_grid(text: str) -> list[int]:
     return grid
 
 
-def cmd_dim(args, system: AffineSystem, config: dict) -> None:
+def cmd_dim(args, system: AffineSystem, write) -> None:
     results = {}
     if args.kind in ("minkowski", "both"):
         results["minkowski"] = minkowski.dimension(system, args.tol).to_dict()
     if args.kind in ("hausdorff", "both"):
         report = hausdorff.dimension(system, args.tol)
         results["hausdorff"] = report.to_dict()
-    if args.format == "csv":
-        print("# affdim", __version__, "dim", json.dumps(config, sort_keys=True))
-        print("kind,value,case,truncation_index,tail_bound,tolerance")
-        for kind, rep in results.items():
-            print(
-                f"{kind},{rep['value']!r},{rep['case']},{rep['truncation_index']},"
-                f"{rep['tail_bound']!r},{rep['tolerance']!r}"
-            )
+    if args.format == "json":
+        write({"results": results})
         return
-    _emit({"command": "dim", "config": config, "results": results})
+    write(
+        "kind,value,case,truncation_index,tail_bound,tolerance",
+        [
+            f"{kind},{rep['value']!r},{rep['case']},{rep['truncation_index']},"
+            f"{rep['tail_bound']!r},{rep['tolerance']!r}"
+            for kind, rep in results.items()
+        ],
+    )
 
 
-def cmd_decompose(args, system: AffineSystem, config: dict) -> None:
+def cmd_decompose(args, system: AffineSystem, write) -> None:
     dec = decompose(args.n, system)
     for chain in dec.chains:
         _emit(
@@ -95,10 +108,8 @@ def cmd_decompose(args, system: AffineSystem, config: dict) -> None:
             }
         )
     census = dec.census()
-    _emit(
+    write(
         {
-            "command": "decompose",
-            "config": config,
             "census": {
                 "L": sorted([i, j, c] for (i, j), c in census.L.items()),
                 "D": sorted([j, c] for j, c in census.D.items()),
@@ -124,19 +135,12 @@ def _printable_log_ratio(n: int, system) -> float:
     return log_ratio
 
 
-def cmd_count(args, system: AffineSystem, config: dict) -> None:
+def cmd_count(args, system: AffineSystem, write) -> None:
     log_ratio = _printable_log_ratio(args.n, system)
-    _emit(
-        {
-            "command": "count",
-            "config": config,
-            "count": minkowski.pattern_count_exact(args.n, system),
-            "log_m_count_over_n": log_ratio,
-        }
-    )
+    write({"count": minkowski.pattern_count_exact(args.n, system), "log_m_count_over_n": log_ratio})
 
 
-def cmd_verify(args, system: AffineSystem, config: dict) -> None:
+def cmd_verify(args, system: AffineSystem, write) -> None:
     # refuse what the closed form refuses, or would not print, before the
     # enumeration runs
     _printable_log_ratio(args.max_n, system)
@@ -159,19 +163,13 @@ def cmd_verify(args, system: AffineSystem, config: dict) -> None:
                 "equal": equal,
             }
         )
-    _emit(
-        {
-            "command": "verify",
-            "config": config,
-            "rows": rows,
-            "all_equal": all_equal,
-        }
-    )
+    # the report is written before a mismatch is raised
+    write({"rows": rows, "all_equal": all_equal})
     if not all_equal:
         raise NumericalError("pattern-count formula disagrees with enumeration")
 
 
-def cmd_sample(args, system: AffineSystem, config: dict) -> None:
+def cmd_sample(args, system: AffineSystem, write) -> None:
     import numpy as np
 
     if system.m > 10:
@@ -181,28 +179,15 @@ def cmd_sample(args, system: AffineSystem, config: dict) -> None:
     pm = measures.PrefixMeasure(system, args.n)
     letters, neg_log2 = pm.sample(np.random.default_rng(args.seed))
     print((letters + ord("0")).astype(np.uint8).tobytes().decode())  # m <= 10: one digit each
-    _emit(
-        {
-            "command": "sample",
-            "config": config,
-            "neg_log_prob_per_n": neg_log2 / (args.n * float(np.log2(system.m))),
-        }
-    )
+    write({"neg_log_prob_per_n": neg_log2 / (args.n * float(np.log2(system.m)))})
 
 
-def cmd_billingsley(args, system: AffineSystem, config: dict) -> None:
+def cmd_billingsley(args, system: AffineSystem, write) -> None:
     mean, stderr = measures.empirical_local_dimension(system, args.n, args.seed, args.samples)
-    _emit(
-        {
-            "command": "billingsley",
-            "config": config,
-            "mean": mean,
-            "stderr": stderr,
-        }
-    )
+    write({"mean": mean, "stderr": stderr})
 
 
-def cmd_sweep(args, system: AffineSystem, config: dict) -> None:
+def cmd_sweep(args, system: AffineSystem, write) -> None:
     grid = _parse_grid(args.n_grid)
     if args.kind == "hausdorff":
         raise InvalidSystemError(
@@ -210,30 +195,29 @@ def cmd_sweep(args, system: AffineSystem, config: dict) -> None:
             "Minkowski dimension; use --kind minkowski"
         )
     closed = minkowski.dimension(system, args.tol).value
-    results = [(n, minkowski.empirical_dimension(n, system)) for n in grid]
+    header = "n,empirical,closed_form,gap"
+    rows = []
+    for n in grid:
+        emp = minkowski.empirical_dimension(n, system)
+        rows.append((n, emp, closed, abs(emp - closed)))
     if args.format == "json":
-        _emit(
-            {
-                "command": "sweep",
-                "config": config,
-                "rows": [
-                    {"n": n, "empirical": emp, "closed_form": closed, "gap": abs(emp - closed)}
-                    for n, emp in results
-                ],
-            }
-        )
+        write({"rows": [dict(zip(header.split(","), row)) for row in rows]})
         return
-    print("# affdim", __version__, "sweep", json.dumps(config, sort_keys=True))
-    print("n,empirical,closed_form,gap")
-    for n, emp in results:
-        print(f"{n},{emp!r},{closed!r},{abs(emp - closed)!r}")
+    write(header, [",".join(map(repr, row)) for row in rows])
 
 
-def cmd_higher_order(args, system: AffineSystem, config: dict) -> None:
+def cmd_higher_order(args, system: AffineSystem, write) -> None:
     data = _read_json(args.forbidden, "forbidden-word")
     if not isinstance(data, dict) or not isinstance(data.get("words"), list):
         raise InvalidSystemError('forbidden-word file must be {"words": [...]} ')
-    words = frozenset(tuple(int(ch) for ch in str(w)) for w in data["words"])
+    for w in data["words"]:
+        # one ASCII digit per letter; str.isdigit would also take other scripts' digits
+        if not (isinstance(w, str) and re.fullmatch("[0-9]+", w)):
+            raise InvalidSystemError(
+                f"forbidden word {json.dumps(w, ensure_ascii=False)} in {args.forbidden} "
+                "is not a string of the digits 0-9"
+            )
+    words = frozenset(tuple(map(int, w)) for w in data["words"])
     maps = tuple(higher_order.parse_growth(text) for text in args.f or [])
     hos = higher_order.HigherOrderSystem(base=system, forbidden=words, growth_maps=maps)
     rows = []
@@ -242,9 +226,7 @@ def cmd_higher_order(args, system: AffineSystem, config: dict) -> None:
         measured, bound = higher_order.affected_density(n, hos)
         gap = repr(higher_order.dim_gap_empirical(n, hos)) if n <= args.max_enumeration else ""
         rows.append(f"{n},{measured!r},{bound!r},{gap}")
-    print("# affdim", __version__, "higher-order", json.dumps(config, sort_keys=True))
-    print("n,measured,bound,empirical_gap")
-    print(*rows, sep="\n")
+    write("n,measured,bound,empirical_gap", rows)
 
 
 @functools.cache
@@ -312,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         system = load_system(args.system)
-        args.fn(args, system, _config(args, system))
+        args.fn(args, system, _writer(args, system))
         _sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: what is left in the buffer goes to the

@@ -378,6 +378,23 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert "window size must be >= 1" in err
 
+    def test_mismatch_prints_the_report_then_exits_two(self, capsys, golden_23, monkeypatch):
+        counts = affdim.oracle.brute_force_counts_upto
+
+        def one_more_at_five(n, system):
+            result = counts(n, system)
+            result[4] += 1
+            return result
+
+        monkeypatch.setattr(affdim.oracle, "brute_force_counts_upto", one_more_at_five)
+        code, out, err = run(capsys, "verify", "--max-n", "12", golden_23)
+        assert code == 2
+        [line] = out.splitlines()
+        report = json.loads(line)
+        assert report["all_equal"] is False
+        assert [row["n"] for row in report["rows"] if not row["equal"]] == [5]
+        assert err == "numerical failure: pattern-count formula disagrees with enumeration\n"
+
     def test_refusals_come_before_the_enumeration(self, capsys, tmp_path, monkeypatch):
         def enumerate_(*args):
             raise AssertionError("the enumeration ran")
@@ -547,6 +564,19 @@ class TestHigherOrderCommand:
         assert (code, out) == (1, "")
         assert "need n >= q1 = 5" in err
 
+    @pytest.mark.parametrize("word", ["1a1", None, [1, 1, 0], 110, "\u0663\u0663\u0663", ""])
+    def test_word_that_is_not_a_digit_string_exits_one(self, capsys, tmp_path, word):
+        # each character used to be read with int(): "1a1", null and a list
+        # ended in int()'s own message, a number was read as its decimal
+        # digits, and Arabic-Indic digits were read as the word 333
+        words = tmp_path / "words.json"
+        words.write_text(json.dumps({"words": ["111", word]}))
+        code, out, err = run(capsys, "higher-order", "--f", "k^2", "--forbidden", str(words),
+                             "--n-grid", "16", system_file(tmp_path, (2, 3, 0, 0), PRIMITIVE4))
+        assert (code, out) == (1, "")
+        assert err == (f"error: forbidden word {json.dumps(word, ensure_ascii=False)} in {words} "
+                       "is not a string of the digits 0-9\n")
+
     @pytest.mark.parametrize("growth", ["k^52", "k^320", "k^1000", "2*k^52.5"])
     def test_exponent_past_the_float_range_in_child(self, golden_23, tmp_path, growth):
         # f(10^6) / 10^(6 s) overflowed floats from s = 52 on
@@ -594,10 +624,18 @@ class TestRepeatedCalls:
         assert first[5] == first[0] and first[0][0] == 0
 
 
+#: the argument list of each pinned report form; ``{words}`` stands for a
+#: forbidden-word file holding the words 110 and 111
 PINNED_ARGS = {
-    "sweep": ["--n-grid", "10000,3000000"],
-    "count": ["--n", "2000"],
-    "verify": ["--max-n", "40"],
+    "sweep": ["sweep", "--n-grid", "10000,3000000"],
+    "count": ["count", "--n", "2000"],
+    "verify": ["verify", "--max-n", "40"],
+    "dim csv": ["dim", "--kind", "both", "--format", "csv"],
+    "sweep json": ["sweep", "--n-grid", "10000,3000000", "--format", "json"],
+    "decompose": ["decompose", "--n", "60"],
+    "higher-order": ["higher-order", "--f", "k^2", "--forbidden", "{words}", "--n-grid", "16,64"],
+    "sample": ["sample", "--n", "200", "--seed", "3"],
+    "billingsley": ["billingsley", "--n", "300", "--samples", "3", "--seed", "2"],
 }
 
 #: sha256 of the stdout of each command on the golden matrix, recorded while
@@ -621,6 +659,26 @@ PINNED_REPORTS = {
     ("verify", (1, 2, 0, 0)): "d1bf5d2d512393d1535530071e22dab9fede4f31b41337e4ce95586a36390ca5",
     ("verify", (2, 4, 0, 1)): "95862017fc986cce52a6de2e72471d874a7bd10ea08fcbbbbacddaea4ce84271",
     ("verify", (1, 3, 1, 0)): "40217ff4b612836679a77f70464eff2c56a2360a3ed958834cb6fdbefe95bfac",
+    # the forms below were recorded while each command still wrote its own
+    # command name, configuration and version
+    ("dim csv", (2, 3, 0, 0)): "61b130fb5cc22bdf8385d2485896eb0a6763eb444c4c70ea1230cef687e447bf",
+    ("dim csv", (1, 2, 0, 0)): "a0d521358428a5c0a4df37474ebbc40933f6328daadf281dcd39101e7eac6e87",
+    ("dim csv", (2, 4, 0, 1)): "a2d9759e3e13bed9977e11035494b6ae743e4b4ad7971815de765811e5ab28b8",
+    ("sweep json", (2, 3, 0, 0)): "f26a19aa42f02f43b58f13cc173899c389a02480925c0ab613c0a594aa1b89af",
+    ("sweep json", (1, 2, 0, 0)): "61a6c64a688e4654630678ae73d4f7e42696743092ae771b1745a8b1487cef8b",
+    ("sweep json", (2, 4, 0, 1)): "11bce31164c33e9737fe4bbce4ce36a73b805cb29faa105ce7d2c7a102db3b1b",
+    ("decompose", (2, 3, 0, 0)): "c19f680602b089290b79c1535f75fdc860359c597f1a2f6276ec11997122b2f4",
+    ("decompose", (1, 2, 0, 0)): "3798b100fa5f4d82b0e9393bfa156a365859bedf8d9c4c13798002ba62362132",
+    ("decompose", (2, 4, 0, 1)): "491428f4120cb700509fcd856f3230056977dc5202b593953a307db375b836f2",
+    ("higher-order", (2, 3, 0, 0)): "c18ea165310b8f1c97863d0b5cc24f3789d4a79d077054decb675651a56ac307",
+    ("higher-order", (1, 2, 0, 0)): "38650d0dc4290f8c42491a374c366105f3646e641d59c84ae6fa67b9568d0050",
+    ("higher-order", (2, 4, 0, 1)): "ecf9ceca269d1d494552e098be3352c663b94d6c8473308dd04e1ef5bd3bd7ab",
+    ("sample", (2, 3, 0, 0)): "63c990a93ba02006f04d5cafaf94513108cbf71d5f27dd42cb89bb2dfc295d9a",
+    ("sample", (1, 2, 0, 0)): "f3fefcfeac5933ba58bb6eda750c2acd3e7d82e9efbdc94ad10eb82d5923ccb3",
+    ("sample", (2, 4, 0, 1)): "c99f9e2abadfc8fceb1065d3bbc8b39c6e4e99cd8df89673e3c6d7d294311116",
+    ("billingsley", (2, 3, 0, 0)): "10ef6b82f4257a2fcf2163f37d50906259743bc8950f764eafd3819982268b20",
+    ("billingsley", (1, 2, 0, 0)): "220938e3a67c2a459898f7679cae7e29bb494d6a22c86342ec7957c1e5d84cf9",
+    ("billingsley", (2, 4, 0, 1)): "69a88379d13ad969b7627a590c6207a9cce3f7f093cc8186ebeabd45aafea383",
 }
 
 
@@ -673,11 +731,14 @@ PINNED_DIM_REPORTS = {
 
 
 class TestPinnedReports:
-    @pytest.mark.parametrize(("command", "pqab"), list(PINNED_REPORTS))
-    def test_report_bytes(self, capsys, tmp_path, command, pqab):
-        code, out, _ = run(capsys, command, *PINNED_ARGS[command], system_file(tmp_path, pqab))
+    @pytest.mark.parametrize(("form", "pqab"), list(PINNED_REPORTS))
+    def test_report_bytes(self, capsys, tmp_path, form, pqab):
+        words = tmp_path / "words.json"
+        words.write_text(json.dumps({"words": ["110", "111"]}))
+        argv = [arg.format(words=words) for arg in PINNED_ARGS[form]]
+        code, out, _ = run(capsys, *argv, system_file(tmp_path, pqab))
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[(command, pqab)]
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[(form, pqab)]
 
     @pytest.mark.parametrize(("tol", "pqab", "matrix"), list(PINNED_DIM_REPORTS))
     def test_dim_report_bytes(self, capsys, tmp_path, tol, pqab, matrix):
