@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -17,6 +16,7 @@ from affdim.cli import main
 from affdim.minkowski import pattern_count_exact
 
 GOLDEN = ((1, 1), (1, 0))
+PRIMITIVE4 = ((0, 1, 1, 0), (1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 1))
 
 
 @pytest.fixture()
@@ -623,126 +623,3 @@ class TestRepeatedCalls:
         assert first[4][0] == 2 and "invalid float value" in first[4][2]
         assert first[5] == first[0] and first[0][0] == 0
 
-
-#: the argument list of each pinned report form; ``{words}`` stands for a
-#: forbidden-word file holding the words 110 and 111
-PINNED_ARGS = {
-    "sweep": ["sweep", "--n-grid", "10000,3000000"],
-    "count": ["count", "--n", "2000"],
-    "verify": ["verify", "--max-n", "40"],
-    "dim csv": ["dim", "--kind", "both", "--format", "csv"],
-    "sweep json": ["sweep", "--n-grid", "10000,3000000", "--format", "json"],
-    "decompose": ["decompose", "--n", "60"],
-    "higher-order": ["higher-order", "--f", "k^2", "--forbidden", "{words}", "--n-grid", "16,64"],
-    "sample": ["sample", "--n", "200", "--seed", "3"],
-    "billingsley": ["billingsley", "--n", "300", "--samples", "3", "--seed", "2"],
-}
-
-#: sha256 of the stdout of each command on the golden matrix, recorded while
-#: the window counts still came from the vectorized chain walk.  The sweep
-#: rows (2,3;0,0) and (1,3;1,0) were re-recorded when the Minkowski series
-#: moved from 40-digit mpmath to a float sum: closed_form moved by 1 ulp,
-#: within its rounding_bound, and gap with it
-PINNED_REPORTS = {
-    ("sweep", (2, 3, 0, 0)): "e2f3c846fe133e643ab79caef37ba683cad8db1f237a5bc7273ec3f8f63f14ab",
-    ("sweep", (4, 6, 1, 3)): "982a6d46dd1ba01d29a3f5582fa52766771f3ffadacd0a566cdc825d3d62c073",
-    ("sweep", (1, 2, 0, 0)): "b5211756278aa49b384c745eee732876a5e4c7f7ade57558098c19abdabb3aa0",
-    ("sweep", (2, 4, 0, 1)): "166bd8732258d8067040b41282964d1eaa77e847548be8492f7e997ff3af540f",
-    ("sweep", (1, 3, 1, 0)): "e13f97016b5f1c13f9f411ba3f841b0f19ede3bcdafcea448726533414bb3220",
-    ("count", (2, 3, 0, 0)): "57f4296f0b6f4d9896ac39b2b37c4d3a935c662fe25dd7799178e28f3f25c11c",
-    ("count", (4, 6, 1, 3)): "1e4da0d055456ea904b24d48ff5ca1e15e0065fc22c41fd737fc81de7129d283",
-    ("count", (1, 2, 0, 0)): "267aae4c8ad4d429bb3ba844eee6e2a6b184fb781f4d61e56d81c2c380297193",
-    ("count", (2, 4, 0, 1)): "02fc6059eec65282ab1f22f21b3d9b7b023df0f95f1780813e8a15cd52ede42f",
-    ("count", (1, 3, 1, 0)): "2fb98205260f44ad5c1442f16a298b40ba549df1543e296cccdac35e83f3ef1f",
-    ("verify", (2, 3, 0, 0)): "f15cd625496c4f25765de9c12338792dcb404474363913cb72d62489ef9f2583",
-    ("verify", (4, 6, 1, 3)): "97f70e2200df60847c65bcbf1f0e9630d4a0fa63618ad183fdbb7fb43c1d9a7c",
-    ("verify", (1, 2, 0, 0)): "d1bf5d2d512393d1535530071e22dab9fede4f31b41337e4ce95586a36390ca5",
-    ("verify", (2, 4, 0, 1)): "95862017fc986cce52a6de2e72471d874a7bd10ea08fcbbbbacddaea4ce84271",
-    ("verify", (1, 3, 1, 0)): "40217ff4b612836679a77f70464eff2c56a2360a3ed958834cb6fdbefe95bfac",
-    # the forms below were recorded while each command still wrote its own
-    # command name, configuration and version
-    ("dim csv", (2, 3, 0, 0)): "61b130fb5cc22bdf8385d2485896eb0a6763eb444c4c70ea1230cef687e447bf",
-    ("dim csv", (1, 2, 0, 0)): "a0d521358428a5c0a4df37474ebbc40933f6328daadf281dcd39101e7eac6e87",
-    ("dim csv", (2, 4, 0, 1)): "a2d9759e3e13bed9977e11035494b6ae743e4b4ad7971815de765811e5ab28b8",
-    ("sweep json", (2, 3, 0, 0)): "f26a19aa42f02f43b58f13cc173899c389a02480925c0ab613c0a594aa1b89af",
-    ("sweep json", (1, 2, 0, 0)): "61a6c64a688e4654630678ae73d4f7e42696743092ae771b1745a8b1487cef8b",
-    ("sweep json", (2, 4, 0, 1)): "11bce31164c33e9737fe4bbce4ce36a73b805cb29faa105ce7d2c7a102db3b1b",
-    ("decompose", (2, 3, 0, 0)): "c19f680602b089290b79c1535f75fdc860359c597f1a2f6276ec11997122b2f4",
-    ("decompose", (1, 2, 0, 0)): "3798b100fa5f4d82b0e9393bfa156a365859bedf8d9c4c13798002ba62362132",
-    ("decompose", (2, 4, 0, 1)): "491428f4120cb700509fcd856f3230056977dc5202b593953a307db375b836f2",
-    ("higher-order", (2, 3, 0, 0)): "c18ea165310b8f1c97863d0b5cc24f3789d4a79d077054decb675651a56ac307",
-    ("higher-order", (1, 2, 0, 0)): "38650d0dc4290f8c42491a374c366105f3646e641d59c84ae6fa67b9568d0050",
-    ("higher-order", (2, 4, 0, 1)): "ecf9ceca269d1d494552e098be3352c663b94d6c8473308dd04e1ef5bd3bd7ab",
-    ("sample", (2, 3, 0, 0)): "63c990a93ba02006f04d5cafaf94513108cbf71d5f27dd42cb89bb2dfc295d9a",
-    ("sample", (1, 2, 0, 0)): "f3fefcfeac5933ba58bb6eda750c2acd3e7d82e9efbdc94ad10eb82d5923ccb3",
-    ("sample", (2, 4, 0, 1)): "c99f9e2abadfc8fceb1065d3bbc8b39c6e4e99cd8df89673e3c6d7d294311116",
-    ("billingsley", (2, 3, 0, 0)): "10ef6b82f4257a2fcf2163f37d50906259743bc8950f764eafd3819982268b20",
-    ("billingsley", (1, 2, 0, 0)): "220938e3a67c2a459898f7679cae7e29bb494d6a22c86342ec7957c1e5d84cf9",
-    ("billingsley", (2, 4, 0, 1)): "69a88379d13ad969b7627a590c6207a9cce3f7f093cc8186ebeabd45aafea383",
-}
-
-
-PRIMITIVE4 = ((0, 1, 1, 0), (1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 1))
-SWAP = ((0, 1), (1, 0))
-
-#: sha256 of the stdout of ``dim --kind both --tol TOL``.  The (2,3;0,0),
-#: (4,6;1,3), (2,5;0,1) and (3,4;0,0) rows were recorded while the
-#: divisible-general series still rebuilt ``chain_potential(i)`` for every i;
-#: the others (classical, degenerate and non-divisible Hausdorff cases) while
-#: ``power_fixed_point`` still had its own iteration loop.  Seven rows were
-#: re-recorded when the Minkowski series moved from 40-digit mpmath to a
-#: float sum: at 1e-8 (2,3;0,0) on GOLDEN and PRIMITIVE4, (1,3;1,0) on
-#: GOLDEN and (1,3;0,0) on SWAP; at 1e-12 (2,5;0,1) and (2,4;0,0) on
-#: GOLDEN and (1,2;0,0) on PRIMITIVE4.  In each only minkowski.value moved,
-#: by 1 ulp, within its rounding_bound.  The five divisible-general rows
-#: ((2,3;0,0), (4,6;1,3), (2,5;0,1), (3,4;0,0) on GOLDEN and (2,3;0,0) on
-#: PRIMITIVE4) were re-recorded at both tolerances when the series began to
-#: sum its omitted terms from the last level: only the Hausdorff value,
-#: truncation_index, tail_bound and contributions moved, and each new value
-#: lies within the old tail_bound plus the new one of the old value
-PINNED_DIM_REPORTS = {
-    ("1e-8", (2, 3, 0, 0), GOLDEN): "f11812fc244645e81b23e774fd1aca5098009c4a6e160b95f346da9cbf66c0a1",
-    ("1e-8", (4, 6, 1, 3), GOLDEN): "4fc4860643733e794612d987270e00c9289c9ae663be80bf409b4abfddb52072",
-    ("1e-8", (2, 5, 0, 1), GOLDEN): "c64d31626ba3d6bec0f651efeb5225b39ee2f38ba2c40b7d7f20c08a530a714f",
-    ("1e-8", (3, 4, 0, 0), GOLDEN): "907f40d9702de90d435a87ecbcb05fb88e2936dd5d6027b36a1a1f4ad3b9e018",
-    ("1e-8", (2, 3, 0, 0), PRIMITIVE4): "85322912e9caf3da3df75e517c1d445d42983b30dda27dce87cfaeeee019a33a",
-    ("1e-8", (1, 2, 0, 0), GOLDEN): "e116a4c33d3518f185997acf3aad8cf900942b72041c4d2d6e1c6129cd319710",
-    ("1e-8", (1, 3, 1, 0), GOLDEN): "2668baa4255a6b00deff69840590def3e5616b7db7d79b4591500d662ffc0c95",
-    ("1e-8", (2, 4, 0, 0), GOLDEN): "0a384aebc2e12ac31849887ae09e9b2eb439254f41eb7f7d58629a172b81030f",
-    ("1e-8", (3, 6, 1, 4), GOLDEN): "93c4f0ca85d9c8b17646cd271c261fceb109d9956d8f574b15d5d2c313283449",
-    ("1e-8", (2, 4, 0, 1), GOLDEN): "cad41978fee8210e565ceafc4719fbec3c2830db7e9c8cbacf0ee12054e0fe2c",
-    ("1e-8", (1, 3, 0, 0), SWAP): "450e4d80a370d266065ff13c87665e9e63c42abcf8181dfaae6a11ebbba69792",
-    ("1e-8", (2, 4, 0, 0), SWAP): "8e3fd2d7e5a59e35807c19d388f36a30634d2695aed044bbee6441ef7864e9b2",
-    ("1e-8", (1, 2, 0, 0), PRIMITIVE4): "48b167e51d8a4f72d11f90ecc1034ffa1c380f0cfd07b66d6304172a01e2f05f",
-    ("1e-12", (2, 3, 0, 0), GOLDEN): "1b74d9c1d059efdad47f06d91ffd9b0d7c639a5438264e0bb0dab8de93c1f724",
-    ("1e-12", (4, 6, 1, 3), GOLDEN): "db717059ee9873a055dda68f64c7530dbdf5292f7d343226ae2b55f514a60174",
-    ("1e-12", (2, 5, 0, 1), GOLDEN): "e7f0c3e414a4a1419fcdeb2c3313be21ddbd8c48a355b5d6779e8c7b0fd86006",
-    ("1e-12", (3, 4, 0, 0), GOLDEN): "acf652dc0bc57c64b7f5ed775d729fcc87d32c7fd03a7299165e0e5967d65aaa",
-    ("1e-12", (2, 3, 0, 0), PRIMITIVE4): "ee7350085e96fcc19b8c085c3ee69055b355b368dd6f4694bf53b55b0d3964c7",
-    ("1e-12", (1, 2, 0, 0), GOLDEN): "895f099ab24c5b8374deb5e98cc7570b918eb932c714629f89bb4a0089ca2227",
-    ("1e-12", (1, 3, 1, 0), GOLDEN): "e931a8fee6e8e3c84905ab0cc5ca33a4eaeb4e18bef8142172a4663486ee8ddf",
-    ("1e-12", (2, 4, 0, 0), GOLDEN): "478bb299e5a25773dddfdf683e00ac69ee8b8392ed992eb24e06acfa1067a858",
-    ("1e-12", (3, 6, 1, 4), GOLDEN): "bd437d5d561bcbe574e81baa776459b5348a712ea8ef5e0d5a608a50b11ae2c5",
-    ("1e-12", (2, 4, 0, 1), GOLDEN): "e707fee8a2612be77e9ca0109dca37cdecf50de1d5f52b04197494d5f113d87c",
-    ("1e-12", (1, 3, 0, 0), SWAP): "554ab709c18986321d6670da3d591fe743dcb6f95770dd3ed03e9af3c83392af",
-    ("1e-12", (2, 4, 0, 0), SWAP): "4de0b0c6e7f673fcc4a3d3008fac2c92b73b753634a4094eeb25e73027975c60",
-    ("1e-12", (1, 2, 0, 0), PRIMITIVE4): "9aaff8d3fd07ec6f788c47a2701273e17fe497a2a32717cf05368c8a6be13532",
-}
-
-
-class TestPinnedReports:
-    @pytest.mark.parametrize(("form", "pqab"), list(PINNED_REPORTS))
-    def test_report_bytes(self, capsys, tmp_path, form, pqab):
-        words = tmp_path / "words.json"
-        words.write_text(json.dumps({"words": ["110", "111"]}))
-        argv = [arg.format(words=words) for arg in PINNED_ARGS[form]]
-        code, out, _ = run(capsys, *argv, system_file(tmp_path, pqab))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[(form, pqab)]
-
-    @pytest.mark.parametrize(("tol", "pqab", "matrix"), list(PINNED_DIM_REPORTS))
-    def test_dim_report_bytes(self, capsys, tmp_path, tol, pqab, matrix):
-        path = system_file(tmp_path, pqab, matrix)
-        code, out, _ = run(capsys, "dim", "--kind", "both", "--tol", tol, path)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIM_REPORTS[(tol, pqab, matrix)]

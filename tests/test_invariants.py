@@ -6,6 +6,9 @@ invariant "X <= Y" holds when the low end of X is at most the high end of
 Y, plus SLACK.
 
 - H <= M: the Hausdorff dimension is at most the Minkowski dimension.
+- H < M when the row sums are not all equal: the low end of M exceeds the
+  high end of H by more than SLACK (the "only if" of
+  ``hausdorff.comparison_gap``).
 - Relabelling the letters (A -> P A P^T) changes neither dimension.
 - Adding a 1-entry to A enlarges the set, so neither dimension falls.
 - The window counts tend to the Minkowski dimension: log_m of the number
@@ -90,6 +93,15 @@ def test_every_case_tag_has_systems():
 def test_hausdorff_at_most_minkowski(pqab, matrix, tol):
     M, H = dimensions(pqab, matrix, tol)
     assert at_most(H, M)
+
+
+@given(systems, matrices(), tolerances)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_hausdorff_below_minkowski_unless_row_sums_agree(pqab, matrix, tol):
+    if len({sum(row) for row in matrix.rows}) == 1:
+        return
+    M, H = dimensions(pqab, matrix, tol)
+    assert enclosure(M)[0] > enclosure(H)[1] + SLACK
 
 
 @given(systems, matrices(), tolerances, st.randoms(use_true_random=False))
