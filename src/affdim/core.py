@@ -357,9 +357,9 @@ class DimensionReport:
     For series-based values the true sum lies in
     [value, value + tail_bound] up to ``rounding_bound``, the float error of
     the summed terms.  The Minkowski series leave the omitted terms out of
-    ``value`` and bound them by ``tail_bound``.  The divisible-general
-    Hausdorff series adds the lower end of an enclosure of its omitted terms
-    to ``value`` and reports the enclosure's width as ``tail_bound``.
+    ``value`` and bound them by ``tail_bound``.  Every divisible Hausdorff
+    report is an enclosure: its series adds the lower end of an enclosure of
+    the omitted terms to ``value`` and reports its width as ``tail_bound``.
     Closed forms carry tail_bound == 0, and rounding_bound == 0 where no
     bound is derived.  ``to_dict`` leaves rounding_bound out, so the report
     schema stays as it was.

@@ -1,15 +1,15 @@
 """Hausdorff dimension of affine multiplicative subshifts.
 
-Four regimes: a closed form when gcd(p,q) does not divide b-a; a series of
-chain potentials when it does and p1 >= 2; a fixed-point vector when p = 1;
-and a sublattice reduction when p > 1 but p1 = 1 (where the series formula
-degenerates, see ``dimension_degenerate``).
+Three regimes: a closed form when gcd(p,q) does not divide b-a; otherwise
+one series of chain-potential logs over the level stream of F_r, r = p1/q1
+(``dimension_divisible``), and its p1 = 1 reading: the fixed-point form for
+p = 1 and the sublattice reduction for p > 1 (``dimension_classical``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import sub
@@ -58,9 +58,11 @@ def power_fixed_point(
 ) -> FixedPointVector:
     """Iterate t <- (A t)^(1/exponent) componentwise from all-ones.
 
-    The k-th iterate is F^(k-1)(row sums)^(1/exponent), F the map of
-    ``_levels`` at r = 1/exponent.  For any matrix without zero rows it sends
-    the open positive cone into itself and is a (1/exponent)-contraction in
+    The sampler's stationary law on infinite chains, and the tests' reference
+    for the p1 = 1 dimensions, which ``dimension_classical`` reads from the
+    level stream.  The k-th iterate is F^(k-1)(row sums)^(1/exponent), F the
+    map of ``_levels`` at r = 1/exponent.  For any matrix without zero rows
+    it sends the open positive cone into itself and is a (1/exponent)-contraction in
     Thompson's metric (Lemmens-Nussbaum, Nonlinear Perron-Frobenius Theory,
     2012): A is monotone and homogeneous of degree 1, so it does not expand
     the metric, and the power 1/exponent scales it.  The iteration therefore
@@ -96,12 +98,6 @@ def power_fixed_point(
     )
 
 
-def _ratio_dimension(matrix: TransitionMatrix, q: int, tol: float) -> tuple[float, FixedPointVector]:
-    """((q-1)/q) log_m(sum_i t_i) for the fixed point t^q = A t, and that point."""
-    fp = power_fixed_point(matrix, q, tol=min(tol, 1e-12))
-    return (q - 1) / q * math.log2(sum(fp.values)) / math.log2(matrix.m), fp
-
-
 def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
     """Closed form 1 - 1/p - 1/q + log_m(sum_i a_i^(p/q)) / p."""
     if sys.case_tag is not CaseTag.NON_DIVISIBLE:
@@ -122,20 +118,18 @@ def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
 
 
 def dimension_classical(sys: AffineSystem, tol: float = 1e-10) -> DimensionReport:
-    """Fixed-point form ((q-1)/q) log_m(sum_i t_i) for p = 1; the offsets a, b
-    do not enter."""
+    """Fixed-point form ((q-1)/q) log_m(sum_i t_i), t^q = A t, for p = 1; the
+    offsets a, b do not enter.
+
+    It is the series of ``dimension_divisible`` at p1 = 1: every rho_i is 0,
+    the singleton density is 1 - 1/p, and the remainder weight
+    (q1 - 1) / (p q1) is the density of the infinite orbits, whose log_m
+    Phi_i tends to log_m sum_i t_i for t^q1 = A t.  The enclosure of
+    log2 Phi_i - log2 Phi_N holds as i -> oo, so the width is the same.
+    """
     if sys.case_tag is not CaseTag.CLASSICAL:
         raise InvalidSystemError(f"classical formula called on {sys.case_tag.value} system")
-    value, fp = _ratio_dimension(sys.matrix, sys.q, tol)
-    return DimensionReport(
-        value=value,
-        kind="hausdorff",
-        case_tag=sys.case_tag,
-        truncation_index=0,
-        tail_bound=0.0,
-        tolerance=tol,
-        notes=(f"fixed-point residual {fp.residual:.3e} after {fp.iterations} iterations",),
-    )
+    return _series(sys, tol)
 
 
 @dataclass(frozen=True)
@@ -227,7 +221,9 @@ def _drift_range(sys: AffineSystem) -> tuple[float, float]:
     adds (m - 1)u, so (F s)_x is computed within (m + 2 + ln m)u relative.
     Its log2 then errs by at most 1.45 times that plus 1 ulp of a log2
     below 2 log2 m; log2 s_x errs by 1 ulp of a value below log2 m, and
-    the difference, at most log2 m, rounds once.  The total is under
+    the difference, at most log2 m, rounds once.  An r that underflows, for
+    q1 past the float range, stays inside the margin: the exact s_y^r
+    differs from 1 by about r ln m, far below u.  The total is under
     u * (1.47 (m + 2 + ln m) + 7 log2 m) <= 11 m u for m >= 2, so each
     side is widened by m * 2^-49 = 16 m u, whose spare 5 m u covers the
     rounding of lo and hi themselves.  The subtraction hi - lo, the
@@ -320,6 +316,11 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
             f"divisible-general series called on {sys.case_tag.value} system; "
             "degenerate systems use the sublattice reduction"
         )
+    return _series(sys, tol)
+
+
+def _series(sys: AffineSystem, tol: float) -> DimensionReport:
+    """The series of ``dimension_divisible`` for every divisible system."""
     lo, width = _drift_range(sys)
     N, (tail_num, tail_den) = truncation_index(lambda i: _limit_tail(i, sys, width), 2, tol)
     log2_m = math.log2(sys.m)
@@ -328,6 +329,8 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
     rho_num, rho_den = (sys.q1 - 1) * (sys.p1 - 1), sys.p * sys.q1
     for i, powered in zip(range(2, N + 1), _levels(sys.matrix, sys.p1 / sys.q1)):
         t_phi = sum(powered)
+        if not rho_num:  # p1 = 1: only the last level enters
+            continue
         rho_den *= sys.p1
         weight = rho_num / rho_den
         term = weight * (math.log2(t_phi) / log2_m)
@@ -335,7 +338,8 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         contributions.append(
             {"i": i, "weight": weight, "t_phi": t_phi, "contribution": term}
         )
-    # rho_den is now p q1 p1^(N-1), so (q1 - 1) / rho_den = sum_{i>N} rho_i
+    # rho_den is now p q1 p1^(N-1), so (q1 - 1) / rho_den = sum_{i>N} rho_i,
+    # or at p1 = 1 the density of the infinite orbits
     total += (sys.q1 - 1) / rho_den * (math.log2(t_phi) / log2_m)
     total += lo / log2_m * (1 / (sys.p * sys.q1 ** (N - 1)))
     return DimensionReport(
@@ -353,31 +357,21 @@ def dimension_degenerate(sys: AffineSystem, tol: float = 1e-10) -> DimensionRepo
     """Sublattice reduction for p > 1 with p1 = 1.
 
     Positions in the progression {p*k + a} carry a ratio-q1 system while all
-    other positions are free: value = (1 - 1/p) + dim_ratio_q1 / p.  The
-    divisible-general series is NOT used here: with p1 = 1 all its chain
-    densities beyond the singleton vanish and the series would return only
-    the singleton weight, strictly below the reduction value.
+    other positions are free: value = (1 - 1/p) + dim_ratio_q1 / p.  That is
+    the divisible series at p1 = 1 (``dimension_classical``): its singleton
+    density is 1 - 1/p, and its remainder weight (q1 - 1) / (p q1) carries
+    the ratio-q1 dimension over p.  The literal formula, the chain
+    densities alone, leaves that weight out.
     """
     if sys.case_tag is not CaseTag.DIVISIBLE_DEGENERATE:
         raise InvalidSystemError(
             f"degenerate reduction called on {sys.case_tag.value} system"
         )
-    ratio_dim, _ = _ratio_dimension(sys.matrix, sys.q1, tol)
-    value = (1 - 1 / sys.p) + _div_int(ratio_dim, sys.p)
     literal = 1 - Fraction(1, sys.p) - Fraction(1, sys.q) + Fraction(1, sys.d * sys.p1 * sys.q1)
-    return DimensionReport(
-        value=value,
-        kind="hausdorff",
-        case_tag=sys.case_tag,
-        truncation_index=0,
-        tail_bound=0.0,
-        tolerance=tol,
-        notes=(
-            f"sublattice reduction: embedded ratio-{sys.q1} dimension {ratio_dim:.12f}",
-            f"literal divisible series degenerates to {literal} = {float(literal):.12f}; "
-            "reduction value used instead",
-        ),
-    )
+    return replace(_series(sys, tol), notes=(
+        f"literal divisible series degenerates to {literal} = {float(literal):.12f}; "
+        "reduction value used instead",
+    ))
 
 
 def dimension(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:

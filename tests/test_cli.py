@@ -180,17 +180,12 @@ class TestMalformedInput:
         path = system_file(tmp_path, (1, 2, 0, 0), tuple((1,) * 11 for _ in range(11)))
         assert_refused_in_child("sample", "--n", "20", "--seed", "3", path)
 
-    def test_fixed_point_exponent_past_the_float_range(self, tmp_path):
-        # t^q = A t cannot be iterated in floats once q is past 2**1024
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps({"m": 2, "matrix": GOLDEN, "p": 1, "q": 10**400, "a": 0, "b": 0}))
-        for kind in ("hausdorff", "both"):
-            assert_refused_in_child("dim", "--kind", kind, str(path))
-
-    @pytest.mark.parametrize("pqab", [(10**400, 2 * 10**400, 0, 0), (2 * 10**400, 4 * 10**400, 0, 1)],
-                             ids=["degenerate", "non-divisible"])
+    @pytest.mark.parametrize("pqab", [(10**400, 2 * 10**400, 0, 0), (2 * 10**400, 4 * 10**400, 0, 1),
+                                      (1, 10**400, 0, 0), (2, 2 * 10**400, 0, 0)],
+                             ids=["degenerate", "non-divisible", "classical-huge-q", "degenerate-huge-q"])
     def test_p_past_the_float_range_reports_one(self, tmp_path, pqab):
-        # both closed forms are 1 - O(1/p), which rounds to 1.0
+        # both dimensions are 1 - O(1/p) or 1 - O(1/q1), which rounds to 1.0;
+        # the series reads r = p1/q1 as 0.0 past the float range
         p, q, a, b = pqab
         path = tmp_path / "system.json"
         path.write_text(json.dumps({"m": 2, "matrix": GOLDEN, "p": p, "q": q, "a": a, "b": b}))

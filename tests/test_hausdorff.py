@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affdim import CaseTag, InvalidSystemError, NumericalError, TransitionMatrix, chain_density, validate_system
-from affdim import minkowski
+from affdim import hausdorff, minkowski
 from affdim.hausdorff import (
     chain_potential,
     comparison_gap,
@@ -28,9 +28,12 @@ from conftest import (
     FULL2,
     FULL3,
     GOLDEN,
+    MIXED3,
     PERIODIC,
+    SPARSE5,
     SWAP,
     edge_tolerances,
+    random_binary_matrix,
     random_irreducible,
     reference_truncation,
     sys_full,
@@ -283,8 +286,8 @@ class TestDivisibleGeneral:
     @pytest.mark.parametrize("pqab", BATTERY[:4])
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_dispatcher_rejects_non_finite_tolerance_in_every_case(self, pqab, tol):
-        # the closed form and the fixed point sum no series, so only the
-        # dispatcher sees their tolerance
+        # the closed form sums no series, so only the dispatcher sees its
+        # tolerance
         with pytest.raises(ValueError, match="positive and finite"):
             dimension(sys_golden(*pqab), tol=tol)
 
@@ -369,6 +372,26 @@ def series_reference(s, digits: int = 50):
     raise AssertionError("reference series did not converge")
 
 
+def fixed_point_reference(s, digits: int = 45):
+    """The p1 = 1 series in ``digits``-digit mpmath: (1 - 1/p) +
+    ((q1 - 1) / (p q1)) log_m sum_i t_i for the fixed point t^q1 = A t,
+    iterated from all ones until a step is below 10^-(digits - 5); the map
+    is a (1/q1)-contraction, so t is then that close too."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        r, eps = mp.mpf(1) / s.q1, mp.mpf(10) ** (5 - digits)
+        t = [mp.mpf(1)] * s.m
+        for _ in range(10_000):
+            nxt = [mp.fsum(compress(t, row)) ** r for row in s.matrix.rows]
+            step = max(abs(a - b) for a, b in zip(nxt, t))
+            t = nxt
+            if step < eps:
+                weight = mp.mpf(s.q1 - 1) / (s.p * s.q1)
+                return 1 - mp.mpf(1) / s.p + weight * mp.log(mp.fsum(t), s.m)
+    raise AssertionError("reference fixed point did not converge")
+
+
 #: matrices of the enclosure battery: golden, swap, a 3-cycle, all-ones,
 #: and random irreducible ones with m = 2..5, zero-diagonal ones included
 def enclosure_matrices():
@@ -403,6 +426,27 @@ class TestLimitTail:
                     assert exact <= report.value + report.tail_bound + SERIES_ALLOWANCE, (pqab, rows, tol)
                     checked += 1
         assert checked == 240
+
+    #: classical and degenerate systems, with q1 up to 24
+    P1_ONE = [(1, 2, 0, 0), (1, 3, 1, 0), (1, 7, 0, 0), (1, 24, 0, 0), (2, 4, 0, 0), (3, 6, 1, 4), (2, 14, 0, 0)]
+
+    def test_enclosure_holds_the_fixed_point_at_p1_one(self):
+        # at p1 = 1 every rho_i is 0 and the remainder weight meets the
+        # infinite orbits, so the series encloses the fixed-point form
+        checked = 0
+        for rows in (GOLDEN, SWAP, FULL3, ((1, 1, 0), (1, 0, 1), (1, 1, 1)), MIXED3, SPARSE5):
+            for pqab in self.P1_ONE:
+                s = validate_system(*pqab, rows)
+                assert s.p1 == 1
+                exact = fixed_point_reference(s)
+                for tol in self.TOLS + (5e-324,):
+                    report = dimension(s, tol=tol)
+                    assert report.tail_bound <= tol and report.truncation_index >= 2
+                    assert report.contributions == ()  # every chain weight is 0
+                    assert report.value - SERIES_ALLOWANCE <= exact, (pqab, rows, tol)
+                    assert exact <= report.value + report.tail_bound + SERIES_ALLOWANCE, (pqab, rows, tol)
+                    checked += 1
+        assert checked == 210
 
     def test_drift_range_holds_the_exact_drift(self):
         import mpmath as mp
@@ -453,6 +497,37 @@ class TestLimitTail:
             limit_tail_bound(3, sys_golden(2, 4, 0, 0))
         with pytest.raises(ValueError):
             limit_tail_bound(1, sys_golden(2, 3, 0, 0))
+
+
+class TestSeriesAtP1One:
+    """Classical and degenerate systems take the divisible series, whose
+    p1 = 1 reading needs no fixed-point iteration."""
+
+    def test_no_dimension_calls_the_fixed_point(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power_fixed_point called")
+
+        monkeypatch.setattr(hausdorff, "power_fixed_point", refuse)
+        for pqab in BATTERY:
+            for tol in (1e-8, 1e-15):
+                assert 0.0 < dimension(sys_golden(*pqab), tol=tol).value < 1.0
+
+    def test_inputs_the_fixed_point_refused(self):
+        # a wide matrix, large q, and a degenerate large q1 at a loose
+        # tolerance: the fixed point's residual stop could not be met on
+        # any of these in 200 steps
+        rng = random.Random(7)
+        while True:
+            wide = TransitionMatrix.from_rows(random_binary_matrix(256, rng, 0.5))
+            if wide.is_irreducible():
+                break
+        cases = [((1, 2, 0, 0), wide, 1e-12)]
+        cases += [((1, q, 0, 0), GOLDEN, 1e-8) for q in (20000, 620584, 2**41 + 1)]
+        cases += [((2, 620584, 0, -2), GOLDEN, 0.5)]
+        for pqab, matrix, tol in cases:
+            s = validate_system(*pqab, matrix)
+            h, mk = dimension(s, tol=tol), minkowski.dimension(s, tol=tol)
+            assert 0.0 < h.value <= mk.value + mk.tail_bound, pqab
 
 
 class TestDegenerate:

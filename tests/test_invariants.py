@@ -14,10 +14,9 @@ Y, plus SLACK.
 - The window counts tend to the Minkowski dimension: log_m of the number
   of admissible patterns of length 10^18, over 10^18, lies within the
   Minkowski report's bounds plus SLACK.
-
-The all-ones matrix's dimension 1 is not checked here: the classical and
-degenerate Hausdorff reports miss it by up to about 3e-14, past their
-stated bounds, until those reports derive a rounding bound.
+- The all-ones matrix gives both dimensions 1, in every case tag: 1 lies
+  in each report's enclosure within ONES_SLACK, far below SLACK, on a
+  fixed battery.
 """
 
 import random
@@ -32,6 +31,8 @@ from conftest import GOLDEN, PERIODIC, SPARSE5, random_irreducible
 #: allowance beyond the reports' own bounds, for float noise they do not
 #: derive yet
 SLACK = 1e-12
+#: the all-ones allowance: a few ulp of 1, for the rounding no field bounds
+ONES_SLACK = 2.0**-50
 
 
 def zero_diagonal(m: int, rng: random.Random) -> TransitionMatrix:
@@ -137,3 +138,23 @@ def test_pattern_counts_tend_to_minkowski(pqab, matrix, tol):
     M = minkowski.dimension(s, tol)
     gap = abs(minkowski.empirical_dimension(10**18, s) - M.value)
     assert gap <= M.tail_bound + M.rounding_bound + SLACK
+
+
+#: three systems of each case tag: classical, divisible-general,
+#: degenerate, non-divisible
+ONES_SYSTEMS = [(1, 2, 0, 0), (1, 3, 1, 0), (1, 5, 0, 2), (2, 3, 0, 0), (4, 6, 1, 3), (3, 5, 1, 2),
+                (2, 4, 0, 0), (3, 6, 1, 4), (2, 6, 0, 0), (2, 4, 0, 1), (4, 6, 0, 1), (3, 6, 0, 1)]
+
+
+def test_all_ones_has_dimension_one():
+    checked = 0
+    for m in range(2, 7):
+        ones = TransitionMatrix.from_rows([[1] * m] * m)
+        for pqab in ONES_SYSTEMS:
+            for tol in (1e-8, 1e-12, 1e-15):
+                for report in dimensions(pqab, ones, tol):
+                    low, high = enclosure(report)
+                    assert low - ONES_SLACK <= 1 <= high + ONES_SLACK, (m, pqab, tol, report)
+                checked += 1
+    assert {validate_system(*t, GOLDEN).case_tag for t in ONES_SYSTEMS} == set(CaseTag)
+    assert checked == 180
