@@ -58,10 +58,12 @@ def power_fixed_point(
 ) -> FixedPointVector:
     """Iterate t <- (A t)^(1/exponent) componentwise from all-ones.
 
-    The sampler's stationary law on infinite chains, and the tests' reference
-    for the p1 = 1 dimensions, which ``dimension_classical`` reads from the
-    level stream.  The k-th iterate is F^(k-1)(row sums)^(1/exponent), F the
-    map of ``_levels`` at r = 1/exponent.  For any matrix without zero rows
+    The tests' reference; no library path calls it.  The p1 = 1 dimensions
+    (``dimension_classical``) and the sampler's laws on infinite chains
+    (``measures.stationary_chain_measure``) read level N of the level stream
+    instead (``_last_level``).  The k-th iterate is
+    F^(k-1)(row sums)^(1/exponent), F the map of ``_levels`` at
+    r = 1/exponent.  For any matrix without zero rows
     it sends the open positive cone into itself and is a (1/exponent)-contraction in
     Thompson's metric (Lemmens-Nussbaum, Nonlinear Perron-Frobenius Theory,
     2012): A is monotone and homogeneous of degree 1, so it does not expand
@@ -240,11 +242,42 @@ def _drift_range(sys: AffineSystem) -> tuple[float, float]:
     return lo, (hi - lo) / math.log2(sys.m) * (1 + 2.0**-50)
 
 
-def _limit_tail(upto_i: int, sys: AffineSystem, width: float) -> tuple[int, int]:
-    """limit_tail_bound(upto_i, sys) as a pair (num, den) of positive ints:
-    ``width`` exactly, over p * q1^(upto_i - 1)."""
+def _limit_tail(upto_i: int, sys: AffineSystem, width: float, scale: int) -> tuple[int, int]:
+    """``width`` exactly, over scale * q1^(upto_i - 1), as a pair (num, den)
+    of positive ints; at scale = p it is limit_tail_bound(upto_i, sys)."""
     num, den = width.as_integer_ratio()
-    return num, den * sys.p * sys.q1 ** (upto_i - 1)
+    return num, den * scale * sys.q1 ** (upto_i - 1)
+
+
+#: the precision of the sampler's infinite-chain laws, in log2 units (see
+#: ``_last_level``)
+LAW_PRECISION = 2.0**-53
+
+
+def _last_level(sys: AffineSystem, scale: int, tol: float) -> tuple[float, int, tuple[int, int]]:
+    """(lo, N, (num, den)): ``_drift_range``'s lower end, and the first N >= 2
+    whose enclosure width / (scale * q1^(N-1)) is <= tol, with that
+    enclosure as an exact pair, found by ``core.truncation_index``.
+
+    The series takes scale = p: the width of its omitted terms after N terms
+    (``dimension_divisible``).  The sampler's infinite chains (p1 = 1) take
+    scale = q1 - 1.  Level k >= 1 of their stream (``measures._stream``) is
+    P = (F^(k-1) s)^r for the row sums s, and the drift of every later step
+    shrinks by r (``dimension_divisible``), so log2 P lies within
+    [lo, hi] * r^k / (1 - r) of log2 t for the fixed point t^q1 = A t.
+    Every ratio t_x / t_y of level N is therefore within
+    (hi - lo) r^N / (1 - r) = (hi - lo) / ((q1 - 1) q1^(N-1)) of the limit
+    in log2 units, that is width / ((q1 - 1) q1^(N-1)) in log_m units.  The
+    laws are normalized ratios, so each law entry of level N is within the
+    same log2 distance of the fixed point's.  The sampler asks for
+    LAW_PRECISION / log2(m) in log_m units, a log2 distance of at most
+    2^-53 (1 + 2^-51) once that quotient is rounded, so every law entry lies
+    within relative 2^-53 ln 2 (1 + 2^-50) < 2^-53 of the fixed point's law,
+    up to the float rounding of r and of the stream.
+    """
+    lo, width = _drift_range(sys)
+    N, tail = truncation_index(lambda i: _limit_tail(i, sys, width, scale), 2, tol)
+    return lo, N, tail
 
 
 def limit_tail_bound(upto_i: int, sys: AffineSystem) -> Fraction:
@@ -254,7 +287,7 @@ def limit_tail_bound(upto_i: int, sys: AffineSystem) -> Fraction:
         raise ValueError("truncation index must be >= 2")
     if sys.case_tag is not CaseTag.DIVISIBLE_GENERAL:
         raise InvalidSystemError("the chain-potential tail requires the divisible-general case")
-    return Fraction(*_limit_tail(upto_i, sys, _drift_range(sys)[1]))
+    return Fraction(*_limit_tail(upto_i, sys, _drift_range(sys)[1], sys.p))
 
 
 def _singleton_density(sys: AffineSystem) -> float:
@@ -321,8 +354,7 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
 
 def _series(sys: AffineSystem, tol: float) -> DimensionReport:
     """The series of ``dimension_divisible`` for every divisible system."""
-    lo, width = _drift_range(sys)
-    N, (tail_num, tail_den) = truncation_index(lambda i: _limit_tail(i, sys, width), 2, tol)
+    lo, N, (tail_num, tail_den) = _last_level(sys, sys.p, tol)
     log2_m = math.log2(sys.m)
     total = _singleton_density(sys)
     contributions = []

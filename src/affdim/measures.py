@@ -1,14 +1,16 @@
 """Entropy-optimal measures on chains, product sampling over windows, and
 the Monte Carlo local-dimension estimator.
 
-Every chain law is formed by ``_laws`` from one weight vector per level: the
-chain stream (all ones, then the powered levels of ``hausdorff._levels`` at
-r = p1/q1 that the Hausdorff series sums), or for infinite chains (p1 = 1)
-the fixed point of the same map at every level.  So singletons are uniform,
+Every chain law is formed by ``_laws`` from one weight vector per level of
+the chain stream: all ones, then the powered levels of ``hausdorff._levels``
+at r = p1/q1 that the Hausdorff series sums.  So singletons are uniform,
 and a non-divisible pair, the length-2 chain, weights first letters by row
-sums to the power p1/q1 = p/q.  The window prefix measure is the product of
-the per-chain measures of the restricted words, so sampled prefixes are
-admissible by construction.
+sums to the power p1/q1 = p/q.  Infinite chains (p1 = 1) read one level N
+of the stream at every level: the first whose laws lie within relative
+2^-53 of the laws of the map's fixed point, so no iteration to a residual
+runs.  The window prefix measure is the product of the per-chain measures
+of the restricted words, so sampled prefixes are admissible by
+construction.
 ``_law_table``, the one reading of a family's levels off the stream, lays
 them out by (family, level, previous letter) for the per-family views and
 ``PrefixMeasure``, whose draws read the log2 terms of its level loop's rows.
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from .core import AffineSystem, CaseTag, InvalidSystemError
-from .hausdorff import _levels, power_fixed_point
+from .hausdorff import LAW_PRECISION, _last_level, _levels
 from .lattice import chain_levels, orbit_lengths
 
 
@@ -95,17 +97,22 @@ def _law_table(sys: AffineSystem, keys, depth: int) -> np.ndarray:
     for infinite chains), from one ``_laws`` call.  Level 0 repeats the
     first-letter law.  Length i reads stream level i - 1 at level 0, the
     rows of level i - 1 - j at level j and the zero law past its end; key 0
-    reads the fixed point of the stream's map, ``power_fixed_point`` at
-    exponent q1, at every level.  Each stream level is formed once."""
+    reads stream level N at every level, the first N >= 2 whose laws lie
+    within relative 2^-53 of the laws of the fixed point t^q1 = A t
+    (``hausdorff._last_level``).  Each stream level is formed once."""
     import numpy as np
 
     keys = np.asarray(keys)
-    weights = _stream(sys, int(keys[-1]))
+    count = int(keys[-1])
     if keys[0] == 0:
-        weights.append(power_fixed_point(sys.matrix, sys.q1).values)
+        _, N, _ = _last_level(sys, sys.q1 - 1, LAW_PRECISION / math.log2(sys.m))
+        stream = _stream(sys, max(count, N + 1))
+        weights = stream[:count] + [stream[N]]
+    else:
+        weights = _stream(sys, count)
     firsts, weight_rows = _laws(sys, weights)
     # rows[s] holds the rows of weight row s - 1, rows[0] the zero law, and
-    # the last weight row (the fixed point when some key is 0) is row -1
+    # the last weight row (level N when some key is 0) is row -1
     rows = np.concatenate([np.zeros((1, sys.m, sys.m)), weight_rows])
     laws = np.empty((len(keys), depth, sys.m, sys.m))
     laws[:, 0] = firsts[keys - 1, None]
@@ -157,8 +164,11 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
 
 def stationary_chain_measure(sys: AffineSystem) -> ChainMeasure:
     """Markov law on infinite chains (p1 = 1): family 0 of ``_law_table``,
-    the ``_laws`` of the fixed point of the stream's map, which weights the
-    first letters and every level's transitions."""
+    the ``_laws`` of stream level N, which weights the first letters and
+    every level's transitions.  N is the first level whose laws lie within
+    relative 2^-53 of the laws of the fixed point t^q1 = A t
+    (``hausdorff._last_level``), which ``power_fixed_point`` iterates for
+    the tests."""
     if sys.p1 != 1 or not sys.divisible:
         raise InvalidSystemError(
             "stationary chain measure requires infinite chains (p1 = 1)"

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import compress
 
 import pytest
 
@@ -42,6 +43,34 @@ def random_irreducible(m: int, rng: random.Random, primitive: bool = False) -> T
         if primitive and not mat.is_primitive():
             continue
         return mat
+
+
+def wide_irreducible(m: int) -> TransitionMatrix:
+    """The first irreducible m x m matrix among those with density-0.5 rows
+    drawn from ``random.Random(7)``: the wide-alphabet battery."""
+    rng = random.Random(7)
+    while True:
+        mat = TransitionMatrix.from_rows(random_binary_matrix(m, rng, 0.5))
+        if mat.is_irreducible():
+            return mat
+
+
+def mp_fixed_point(rows, q1: int, digits: int = 45) -> list:
+    """The fixed point t^q1 = A t in ``digits``-digit mpmath, iterated from
+    all ones until a step is below 10^-(digits - 5); the map is a
+    (1/q1)-contraction, so t is then that close too."""
+    import mpmath as mp
+
+    with mp.workdps(digits):
+        r, eps = mp.mpf(1) / q1, mp.mpf(10) ** (5 - digits)
+        t = [mp.mpf(1)] * len(rows)
+        for _ in range(10_000):
+            nxt = [mp.fsum(compress(t, row)) ** r for row in rows]
+            step = max(abs(a - b) for a, b in zip(nxt, t))
+            t = nxt
+            if step < eps:
+                return t
+    raise AssertionError("reference fixed point did not converge")
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ import affdim
 from affdim import load_system
 from affdim.cli import main
 from affdim.minkowski import pattern_count_exact
+from conftest import wide_irreducible
 
 GOLDEN = ((1, 1), (1, 0))
 PRIMITIVE4 = ((0, 1, 1, 0), (1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 1))
@@ -256,6 +257,28 @@ from affdim import measures
 print(json.dumps({"codes": codes, "loaded": loaded, "sample": [sample_code, out.getvalue()],
                   "measures": [affdim.measures is measures, measures.__name__]}))
 """
+
+
+class TestWideAlphabet:
+    """One system per case tag on random irreducible matrices with 48 and
+    128 letters: infinite chains read their laws from the level stream, so
+    billingsley runs wherever the series does."""
+
+    @pytest.mark.parametrize("m", [48, 128])
+    @pytest.mark.parametrize("pqab", [(1, 2, 0, 0), (2, 4, 0, 0), (2, 3, 0, 0), (2, 4, 0, 1)])
+    def test_dim_and_billingsley(self, capsys, tmp_path, m, pqab):
+        path = system_file(tmp_path, pqab, wide_irreducible(m).rows)
+        code, out, _ = run(capsys, "dim", "--kind", "both", path)
+        assert code == 0
+        results = json.loads(out)["results"]
+        h, mk = results["hausdorff"]["value"], results["minkowski"]
+        assert h <= mk["value"] + mk["tail_bound"]
+        code, out, _ = run(capsys, "billingsley", "--n", "1000", "--samples", "4", "--seed", "1", path)
+        assert code == 0
+        assert abs(json.loads(out)["mean"] - h) <= 0.02
+        # sample prints one digit per letter
+        code, _, err = run(capsys, "sample", "--n", "50", "--seed", "1", path)
+        assert code == 1 and "m <= 10" in err
 
 
 class TestClosedPipe:

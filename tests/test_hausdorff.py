@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -9,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affdim import CaseTag, InvalidSystemError, NumericalError, TransitionMatrix, chain_density, validate_system
-from affdim import hausdorff, minkowski
+from affdim import hausdorff, measures, minkowski
+from affdim.cli import main
 from affdim.hausdorff import (
     chain_potential,
     comparison_gap,
@@ -33,11 +35,12 @@ from conftest import (
     SPARSE5,
     SWAP,
     edge_tolerances,
-    random_binary_matrix,
+    mp_fixed_point,
     random_irreducible,
     reference_truncation,
     sys_full,
     sys_golden,
+    wide_irreducible,
 )
 
 # root of x^3 = x + 1; the golden-matrix ratio-2 fixed point is (r^2, r)
@@ -374,22 +377,14 @@ def series_reference(s, digits: int = 50):
 
 def fixed_point_reference(s, digits: int = 45):
     """The p1 = 1 series in ``digits``-digit mpmath: (1 - 1/p) +
-    ((q1 - 1) / (p q1)) log_m sum_i t_i for the fixed point t^q1 = A t,
-    iterated from all ones until a step is below 10^-(digits - 5); the map
-    is a (1/q1)-contraction, so t is then that close too."""
+    ((q1 - 1) / (p q1)) log_m sum_i t_i for the fixed point t^q1 = A t of
+    ``mp_fixed_point``."""
     import mpmath as mp
 
     with mp.workdps(digits):
-        r, eps = mp.mpf(1) / s.q1, mp.mpf(10) ** (5 - digits)
-        t = [mp.mpf(1)] * s.m
-        for _ in range(10_000):
-            nxt = [mp.fsum(compress(t, row)) ** r for row in s.matrix.rows]
-            step = max(abs(a - b) for a, b in zip(nxt, t))
-            t = nxt
-            if step < eps:
-                weight = mp.mpf(s.q1 - 1) / (s.p * s.q1)
-                return 1 - mp.mpf(1) / s.p + weight * mp.log(mp.fsum(t), s.m)
-    raise AssertionError("reference fixed point did not converge")
+        t = mp_fixed_point(s.matrix.rows, s.q1, digits)
+        weight = mp.mpf(s.q1 - 1) / (s.p * s.q1)
+        return 1 - mp.mpf(1) / s.p + weight * mp.log(mp.fsum(t), s.m)
 
 
 #: matrices of the enclosure battery: golden, swap, a 3-cycle, all-ones,
@@ -501,33 +496,41 @@ class TestLimitTail:
 
 class TestSeriesAtP1One:
     """Classical and degenerate systems take the divisible series, whose
-    p1 = 1 reading needs no fixed-point iteration."""
+    p1 = 1 reading needs no fixed-point iteration, and the sampler's
+    infinite chains read the same level stream."""
 
     def test_no_dimension_calls_the_fixed_point(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("power_fixed_point called")
 
         monkeypatch.setattr(hausdorff, "power_fixed_point", refuse)
+        monkeypatch.setattr(measures, "power_fixed_point", refuse, raising=False)
         for pqab in BATTERY:
+            s = sys_golden(*pqab)
             for tol in (1e-8, 1e-15):
-                assert 0.0 < dimension(sys_golden(*pqab), tol=tol).value < 1.0
+                assert 0.0 < dimension(s, tol=tol).value < 1.0
+            measures.PrefixMeasure(s, 300)
+            assert len(measures.sample_prefix(s, 300, seed=1)) == 300
+            assert 0.0 < measures.empirical_local_dimension(s, 300, seed=1, samples=2)[0] < 1.0
+        assert {sys_golden(*pqab).case_tag for pqab in BATTERY} == set(CaseTag)
 
-    def test_inputs_the_fixed_point_refused(self):
+    def test_inputs_the_fixed_point_refused(self, capsys, tmp_path):
         # a wide matrix, large q, and a degenerate large q1 at a loose
         # tolerance: the fixed point's residual stop could not be met on
-        # any of these in 200 steps
-        rng = random.Random(7)
-        while True:
-            wide = TransitionMatrix.from_rows(random_binary_matrix(256, rng, 0.5))
-            if wide.is_irreducible():
-                break
-        cases = [((1, 2, 0, 0), wide, 1e-12)]
+        # any of these in 200 steps, for the dimension or for the sampler
+        cases = [((1, 2, 0, 0), wide_irreducible(256), 1e-12)]
         cases += [((1, q, 0, 0), GOLDEN, 1e-8) for q in (20000, 620584, 2**41 + 1)]
         cases += [((2, 620584, 0, -2), GOLDEN, 0.5)]
         for pqab, matrix, tol in cases:
             s = validate_system(*pqab, matrix)
             h, mk = dimension(s, tol=tol), minkowski.dimension(s, tol=tol)
             assert 0.0 < h.value <= mk.value + mk.tail_bound, pqab
+        for pqab in [(1, 20000, 0, 0), (1, 620584, 0, 0), (2, 620584, 0, -2)]:
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(validate_system(*pqab, GOLDEN).to_json_dict()))
+            for argv in (["sample", "--n", "50"], ["billingsley", "--n", "200", "--samples", "4"]):
+                assert main([*argv, "--seed", "1", str(path)]) == 0, (pqab, argv)
+                assert capsys.readouterr().err == ""
 
 
 class TestDegenerate:

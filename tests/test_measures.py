@@ -1,13 +1,13 @@
 import hashlib
 import math
 import random
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 import numpy as np
 import pytest
 
 from affdim import CaseTag, InvalidSystemError, chain_density, decompose, validate_system
-from affdim.hausdorff import _levels, chain_potential, dimension as dim_h, power_fixed_point
+from affdim.hausdorff import LAW_PRECISION, _last_level, _levels, chain_potential, dimension as dim_h
 from affdim.measures import (
     PrefixMeasure,
     _laws,
@@ -20,7 +20,18 @@ from affdim.measures import (
     stationary_chain_measure,
 )
 from affdim.oracle import admissible_words, window_pairs
-from conftest import BATTERY, GOLDEN, MIXED3, SPARSE5, random_irreducible, sys_full, sys_golden
+from conftest import (
+    BATTERY,
+    FULL3,
+    GOLDEN,
+    MIXED3,
+    SPARSE5,
+    SWAP,
+    mp_fixed_point,
+    random_irreducible,
+    sys_full,
+    sys_golden,
+)
 
 
 PERIODIC3 = ((0, 1, 1), (1, 0, 0), (1, 0, 0))
@@ -47,9 +58,9 @@ CHAIN_LAW_DIGESTS = [
 
 #: sha256 of repr((first, transitions)) of ``pair_measure`` on golden
 #: (2,4;0,1), MIXED3 and SPARSE5 (4,6;0,1), then ``stationary_chain_measure``
-#: for (1,2;0,0) and (2,4;0,0) on each of the three, recorded while each view
-#: sliced its own laws out of the stream
-VIEW_LAW_DIGEST = "27a4f51fcbd1b7ebd08d4255e46f866eb8c38ee3ae6447539f4e0eba140e4deb"
+#: for (1,2;0,0) and (2,4;0,0) on each of the three, recorded when the
+#: infinite chains began to read stream level N instead of the fixed point
+VIEW_LAW_DIGEST = "01faa4e050e8f1b91afd44f4866ab8f1876251c8bc674246db860d7e4de8c12a"
 
 
 def marginal_entropy(measure, matrix, j: int) -> float:
@@ -238,6 +249,32 @@ class TestStationaryMeasure:
         with pytest.raises(InvalidSystemError):
             stationary_chain_measure(sys_golden(2, 3, 0, 0))
 
+    #: the float rounding of the stream and of the normalization: each level
+    #: is within about (1 + r (m - 1)) / (1 - r) ulp of the exact map's, in
+    #: both weights of a ratio, and a law adds m ulp; under 32 ulp for m <= 5
+    ROUNDING = 2.0**-48
+
+    def test_laws_hold_the_fixed_point(self):
+        # every law of infinite chains reads stream level N, which lies
+        # within relative LAW_PRECISION of the laws of the fixed point
+        # t^q1 = A t, here a 45-digit mpmath one
+        import mpmath as mp
+
+        checked = 0
+        for rows in (GOLDEN, SWAP, FULL3, MIXED3, SPARSE5, PERIODIC3):
+            for q1 in (2, 3, 7, 24):
+                s = validate_system(1, q1, 0, 0, rows)
+                mu = stationary_chain_measure(s)
+                with mp.workdps(45):
+                    t = mp_fixed_point(rows, q1)
+                    laws = [[x / mp.fsum(t) for x in t]]
+                    laws += [[a * y / mp.fsum(compress(t, row)) for a, y in zip(row, t)] for row in rows]
+                    for got, exact in zip([mu.first, *mu.transition(1)], laws):
+                        for g, e in zip(got, exact):
+                            assert abs(g - e) <= (LAW_PRECISION + self.ROUNDING) * e, (rows, q1)
+                checked += 1
+        assert checked == 24
+
     def test_pair_and_stationary_laws_pinned(self):
         h = hashlib.sha256()
         views = [(pair_measure, GOLDEN, (2, 4, 0, 1))]
@@ -334,10 +371,10 @@ class TestSampling:
     @pytest.mark.parametrize(
         "pqab, n, neg_log2, local",
         [
-            ((1, 2, 0, 0), 37, "0x1.d9d721319be47p+4", ("0x1.9f6bf304eadd5p-1", "0x1.b807e000ab92ep-7")),
-            ((1, 2, 0, 0), 50_000, "0x1.3dcc1dc5d807cp+15", ("0x1.9f610c72f2ed5p-1", "0x1.90d2b9ec3261dp-12")),
-            ((2, 4, 0, 0), 37, "0x1.0cd65c59620e3p+5", ("0x1.d104155c56952p-1", "0x1.255a9555c7b8bp-7")),
-            ((2, 4, 0, 0), 50_000, "0x1.6210bc301692cp+15", ("0x1.cf815518f3c8fp-1", "0x1.02d062515df86p-12")),
+            ((1, 2, 0, 0), 37, "0x1.d9d721319be46p+4", ("0x1.9f6bf304eadd4p-1", "0x1.b807e000ab94dp-7")),
+            ((1, 2, 0, 0), 50_000, "0x1.3dcc1dc5d807cp+15", ("0x1.9f610c72f2ed4p-1", "0x1.90d2b9ec32636p-12")),
+            ((2, 4, 0, 0), 37, "0x1.0cd65c59620e3p+5", ("0x1.d104155c56952p-1", "0x1.255a9555c7b71p-7")),
+            ((2, 4, 0, 0), 50_000, "0x1.6210bc301692cp+15", ("0x1.cf815518f3c8ep-1", "0x1.02d062515dba5p-12")),
             ((2, 4, 0, 1), 37, "0x1.071a8a7cde05ap+5", ("0x1.ce04652b037f5p-1", "0x1.2bc8ca3fe85d7p-6")),
             ((2, 4, 0, 1), 50_000, "0x1.5a4aaa47ce785p+15", ("0x1.c576196f67430p-1", "0x1.33b61b2f7d4dbp-12")),
             ((2, 3, 0, 0), 37, "0x1.044fcd91a0838p+5", ("0x1.c6d1ce8e47286p-1", "0x1.cabd830e6fc98p-7")),
@@ -350,7 +387,8 @@ class TestSampling:
         # float.hex of the draw's -log2 P (seed 11) and of the local
         # dimension's (mean, stderr) (seed 3, 4 samples), one system per case
         # tag, recorded while the draw walked the positions level by level
-        # through per-level index arrays
+        # through per-level index arrays; the p1 = 1 rows were re-recorded
+        # when the infinite chains began to read stream level N
         s = sys_golden(*pqab)
         _, value = PrefixMeasure(s, n).sample(np.random.default_rng(11))
         assert value.hex() == neg_log2
@@ -375,8 +413,9 @@ class TestLawTable:
     def expected(family, s, depth):
         """The table of ``family`` over ``depth`` levels, every law normalized
         by Python's left-to-right ``sum``: singletons 1/m, pairs row sums to
-        the power p/q, "inf" the fixed point at every level, and
-        divisible-general lengths the stream of ``TestChainLaws.reference``."""
+        the power p/q, "inf" the stream level N of ``hausdorff._last_level``
+        at every level, and divisible-general lengths the stream of
+        ``TestChainLaws.reference``."""
         def normalized(weights):
             total = sum(weights)
             return [w / total for w in weights]
@@ -386,8 +425,9 @@ class TestLawTable:
 
         zero = [[0.0] * s.m] * s.m
         if family == "inf":
-            t = power_fixed_point(s.matrix, s.q1).values
-            return [[normalized(t)] * s.m] + [row_laws(t)] * (depth - 1)
+            _, N, _ = _last_level(s, s.q1 - 1, LAW_PRECISION / math.log2(s.m))
+            first, rows = TestChainLaws.reference(s, N + 1)[-1]
+            return [[first] * s.m] + [rows] * (depth - 1)
         if family == 1:
             return [[[1 / s.m] * s.m] * s.m] + [zero] * (depth - 1)
         if s.case_tag is CaseTag.NON_DIVISIBLE:
@@ -482,12 +522,14 @@ class TestLocalDimension:
     @pytest.mark.parametrize(
         "rows, pqab, pinned",
         [
-            (PERIODIC3, (1, 2, 0, 0), "(0.6433181723557018, 0.000893652186714684)"),
+            (PERIODIC3, (1, 2, 0, 0), "(0.643318172355702, 0.0008936521867147002)"),
             (MIXED3, (4, 6, 1, 3), "(0.9344596788660591, 0.0006418852611092424)"),
         ],
     )
     def test_pinned(self, rows, pqab, pinned):
-        # recorded from the sampler that regrouped the chains into families
+        # recorded from the sampler that regrouped the chains into families;
+        # the p1 = 1 row was re-recorded when the infinite chains began to
+        # read stream level N
         s = validate_system(*pqab, rows)
         assert repr(empirical_local_dimension(s, 5000, seed=3, samples=4)) == pinned
 
