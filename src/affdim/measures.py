@@ -11,9 +11,12 @@ of the stream at every level: the first whose laws lie within relative
 runs.  The window prefix measure is the product of the per-chain measures
 of the restricted words, so sampled prefixes are admissible by
 construction.
-``_law_table``, the one reading of a family's levels off the stream, lays
-them out by (family, level, previous letter) for the per-family views and
-``PrefixMeasure``, whose draws read the log2 terms of its level loop's rows.
+``_blocks`` stores each level's laws once, as one block of m + 1 rows: the
+law after each letter, then the first-letter law.  A chain of full length
+i reads block i at its first letter and falls one block per level;
+infinite chains stay on block 0.  The per-family views and
+``PrefixMeasure``, whose draws read the log2 terms of its level loop's
+rows, all read these blocks.
 """
 
 from __future__ import annotations
@@ -71,18 +74,17 @@ def letter_measure(m: int) -> ChainMeasure:
     return ChainMeasure(length=1, first=tuple(1.0 / m for _ in range(m)), transitions=())
 
 
-def _laws(sys: AffineSystem, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(first-letter laws, transition rows) of each row of ``weights``: row
-    s of the first array is weights[s] normalized, and [s, x] of the second
-    is row x of A·diag(weights[s]) normalized.  Every law is divided by the
-    last entry of its ``np.cumsum``, which adds left to right as Python's
-    ``sum`` does."""
+def _laws(sys: AffineSystem, weights) -> np.ndarray:
+    """One (m + 1) × m block of laws per row of ``weights``: row x < m of
+    block s is row x of A·diag(weights[s]) normalized, the law after letter
+    x, and row m is weights[s] normalized, the first-letter law, as the law
+    after a virtual start letter whose row of A is all ones.  Every law is
+    divided by the last entry of its ``np.cumsum``, which adds left to right
+    as Python's ``sum`` does."""
     import numpy as np
 
-    weights = np.array(weights)
-    rows = np.array(sys.matrix.rows) * weights[:, None, :]
-    firsts = weights / np.cumsum(weights, axis=1)[:, -1:]
-    return firsts, rows / np.cumsum(rows, axis=2)[..., -1:]
+    rows = np.array([*sys.matrix.rows, [1] * sys.m]) * np.array(weights)[:, None, :]
+    return rows / np.cumsum(rows, axis=2)[..., -1:]
 
 
 def _stream(sys: AffineSystem, count: int) -> list:
@@ -91,42 +93,30 @@ def _stream(sys: AffineSystem, count: int) -> list:
     return list(islice(chain([[1.0] * sys.m], _levels(sys.matrix, sys.p1 / sys.q1)), count))
 
 
-def _law_table(sys: AffineSystem, keys, depth: int) -> np.ndarray:
-    """laws[f, j, x], the law of a chain's letter at level j < ``depth``
-    after letter x, for the ascending family keys[f] (a full length i, or 0
-    for infinite chains), from one ``_laws`` call.  Level 0 repeats the
-    first-letter law.  Length i reads stream level i - 1 at level 0, the
-    rows of level i - 1 - j at level j and the zero law past its end; key 0
-    reads stream level N at every level, the first N >= 2 whose laws lie
-    within relative 2^-53 of the laws of the fixed point t^q1 = A t
-    (``hausdorff._last_level``).  Each stream level is formed once."""
+def _blocks(sys: AffineSystem, count: int, infinite: bool) -> np.ndarray:
+    """blocks[s], the ``_laws`` block of stream level s - 1 for 1 <= s <=
+    ``count``; blocks[0] is the zero law, or with ``infinite`` chains the
+    block of stream level N, the first N >= 2 whose laws lie within
+    relative 2^-53 of the laws of the fixed point t^q1 = A t
+    (``hausdorff._last_level``).  A chain of full length i reads block i
+    at its first letter and block i - j at level j; infinite chains read
+    block 0 at every level.  Each stream level is formed once."""
     import numpy as np
 
-    keys = np.asarray(keys)
-    count = int(keys[-1])
-    if keys[0] == 0:
+    if infinite:
         _, N, _ = _last_level(sys, sys.q1 - 1, LAW_PRECISION / math.log2(sys.m))
         stream = _stream(sys, max(count, N + 1))
-        weights = stream[:count] + [stream[N]]
-    else:
-        weights = _stream(sys, count)
-    firsts, weight_rows = _laws(sys, weights)
-    # rows[s] holds the rows of weight row s - 1, rows[0] the zero law, and
-    # the last weight row (level N when some key is 0) is row -1
-    rows = np.concatenate([np.zeros((1, sys.m, sys.m)), weight_rows])
-    laws = np.empty((len(keys), depth, sys.m, sys.m))
-    laws[:, 0] = firsts[keys - 1, None]
-    finite = np.maximum(keys[:, None] - np.arange(1, depth), 0)
-    laws[:, 1:] = rows[np.where(keys[:, None] == 0, -1, finite)]
-    return laws
+        return _laws(sys, [stream[N], *stream[:count]])
+    return np.concatenate([np.zeros((1, sys.m + 1, sys.m)), _laws(sys, _stream(sys, count))])
 
 
 def _family_measure(sys: AffineSystem, key: int) -> ChainMeasure:
-    """The ChainMeasure of family ``key`` of ``_law_table``: a full length
-    read over its own levels, or key 0 (infinite chains) over two."""
-    laws = _law_table(sys, [key], key or 2)[0]
-    levels = tuple(tuple(map(tuple, level)) for level in laws[1:].tolist())
-    return ChainMeasure(length=key or None, first=tuple(laws[0, 0].tolist()), transitions=levels)
+    """The ChainMeasure of a full length ``key``, or of infinite chains for
+    key 0, read off its ``_blocks`` as a draw reads them."""
+    blocks = _blocks(sys, key, key == 0).tolist()
+    levels = blocks[key - 1 : 0 : -1] if key else blocks
+    transitions = tuple(tuple(map(tuple, rows[:-1])) for rows in levels)
+    return ChainMeasure(length=key or None, first=tuple(blocks[key][-1]), transitions=transitions)
 
 
 def pair_measure(sys: AffineSystem) -> ChainMeasure:
@@ -148,8 +138,8 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
     to P_(i-2), the letter after level l < i-1 follows row-normalized
     A·diag(P_(i-2-l)), and the last one is uniform over admissible
     continuations.  These are the laws of ``chain_potential(i)``'s tables,
-    float for float (see ``dimension_divisible``).  They are family i of
-    ``_law_table``, as in ``PrefixMeasure``'s table.
+    float for float (see ``dimension_divisible``).  They are read off
+    blocks i, i - 1, ..., 1 of ``_blocks``, as ``PrefixMeasure`` reads them.
     """
     if i == 1:
         return letter_measure(sys.m)
@@ -163,7 +153,7 @@ def chain_measure(i: int, sys: AffineSystem) -> ChainMeasure:
 
 
 def stationary_chain_measure(sys: AffineSystem) -> ChainMeasure:
-    """Markov law on infinite chains (p1 = 1): family 0 of ``_law_table``,
+    """Markov law on infinite chains (p1 = 1): block 0 of ``_blocks``,
     the ``_laws`` of stream level N, which weights the first letters and
     every level's transitions.  N is the first level whose laws lie within
     relative 2^-53 of the laws of the fixed point t^q1 = A t
@@ -184,14 +174,17 @@ class PrefixMeasure:
     ``chain_levels``: a chain's letter at level j follows its family's law
     at level j given its letter at level j - 1.
 
-    The build fixes everything a draw would otherwise recompute, in one
-    loop over the levels: the level order of the 0-based positions, the
-    mask of the chains that go on, each level's slice bounds, and each
-    position's row base in the level-major ``_law_table`` of the families
-    from the shortest orbit to the longest.  A draw gathers its variates
-    into level order once and works on each level's contiguous slice,
-    adding only the previous letters to the bases.  Scoring knows every
-    letter, so it finds all previous letters in one pass.
+    The laws are the ``_blocks`` of the longest family, one block of m + 1
+    rows per stream level: a chain of full length i reads row m of block i
+    (the law after the virtual start letter m) at its first letter and falls
+    one block per level, so each law is stored once, whatever the number of
+    families.  The build fixes everything a draw would otherwise recompute,
+    in one loop over the levels: the level order of the 0-based positions,
+    the mask of the chains that go on, each level's slice bounds, and each
+    position's row base in the blocks.  A draw gathers its variates into
+    level order once and works on each level's contiguous slice, adding
+    only the previous letters to the bases.  Scoring knows every letter, so
+    it finds all previous letters in one pass.
     """
 
     def __init__(self, sys: AffineSystem, n: int):
@@ -202,21 +195,21 @@ class PrefixMeasure:
         m = sys.m
         levels = chain_levels(n, sys)
         starts, more = next(levels)
-        # one family per full length from the shortest orbit to the longest;
-        # infinite orbits (length 0) carry "inf"
+        # a chain of full length i starts on block i and falls one block per
+        # level; infinite chains (length 0) stay on block 0, and every other
+        # chain beside them is a singleton, so one step serves all chains
         lengths = orbit_lengths(starts, sys)
-        shortest = int(lengths.min())
-        keys = np.arange(shortest, int(lengths.max()) + 1)
+        shortest, longest = int(lengths.min()), int(lengths.max())
+        step = -(m + 1) if shortest else 0
         # the 0-based positions in level order are a permutation; level j is
         # order[lo:hi], and goes_on[lo:hi] masks its chains whose next member
-        # is on level j + 1, order[hi:end].  Flat row (j*F + f)*m + x of the
-        # F families' table holds laws[f, j, x], so a chain of family
-        # f = length - shortest has base f*m at level 0 and F*m more at each
-        # next level; the table is far smaller than 2**31
+        # is on level j + 1, order[hi:end].  Row x of block s is flat row
+        # s*(m + 1) + x, so a chain's base is its block times m + 1; the
+        # blocks are far smaller than 2**31 rows
         order = np.empty(n, dtype=np.int64)
         goes_on = np.empty(n, dtype=bool)
         base = np.empty(n, dtype=np.int32)
-        np.multiply(lengths - shortest, m, out=base[: len(starts)], dtype=np.int32)
+        np.multiply(lengths, m + 1, out=base[: len(starts)], dtype=np.int32)
         del lengths
         bounds = []
         hi = 0
@@ -225,23 +218,41 @@ class PrefixMeasure:
             end = hi + int(np.count_nonzero(more))
             np.subtract(pos, 1, out=order[lo:hi])
             goes_on[lo:hi] = more
-            np.add(base[lo:hi].compress(more), len(keys) * m, out=base[hi:end])
+            np.add(base[lo:hi].compress(more), step, out=base[hi:end])
             bounds.append((lo, hi, end))
         del starts, pos, more
-        # the table the draws read, kept for inspection: family f is
-        # families[f], a full length or "inf"
-        self.families = tuple(key or "inf" for key in keys.tolist())
-        self.laws = _law_table(sys, keys, len(bounds))
-        laws = self.laws.transpose(1, 0, 2, 3).reshape(-1, m)
-        cdf = np.cumsum(laws, axis=1)
-        cdf[:, -1] = 1.0 + 1e-12  # zero-mass letters stay unreachable
-        # a variate u < 1 never reaches the last entry, so it is not compared
-        self._cdf_columns = cdf.T[:-1].copy()
-        self._log2 = np.where(laws > 0, np.log2(np.maximum(laws, 1e-300)), -np.inf).ravel()
+        # family f is families[f], a full length or "inf", as the ``laws``
+        # view lays them out
+        self.families = tuple(key or "inf" for key in range(shortest, longest + 1))
+        self._blocks = _blocks(sys, longest, not shortest)
+        laws = self._blocks.reshape(-1, m)
+        # the CDF column by column, without its last entry: a variate u < 1
+        # never reaches it, so it is not compared
+        self._cdf_columns = np.cumsum(laws.T[:-1], axis=0, out=np.empty((m - 1, len(laws))))
+        # the log2 terms, formed in place; zero-mass letters read -inf
+        self._log2 = np.maximum(laws, 1e-300).ravel()
+        np.log2(self._log2, out=self._log2)
+        self._log2[laws.ravel() == 0] = -np.inf
         self._order = order
         self._base = base
         self._more = goes_on
         self._levels = bounds
+
+    @property
+    def laws(self) -> np.ndarray:
+        """laws[f, j, x], the law of a chain of family f at level j after
+        letter x, read off the blocks as a draw reads them: level 0 repeats
+        the first-letter law, and past a chain's end the law is zero."""
+        import numpy as np
+
+        m = self.sys.m
+        keys = np.array([0 if key == "inf" else key for key in self.families])[:, None]
+        level = np.arange(len(self._levels))
+        block = np.where(keys == 0, 0, keys - level)
+        rows = np.where(level[:, None] == 0, m, np.arange(m))
+        laws = self._blocks[np.maximum(block, 0)[..., None], rows]
+        laws[(keys > 0) & (block <= 0)] = 0.0
+        return laws
 
     def sample(self, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Draw one admissible prefix; returns (letters, -log2 probability).
@@ -255,9 +266,10 @@ class PrefixMeasure:
 
         m = self.sys.m
         u = rng.random(self.n).take(self._order)
-        # the narrowest letter type keeps the level-ordered letters small
-        lets = np.zeros(self.n, dtype=np.min_scalar_type(m - 1))
-        previous = np.zeros_like(lets)
+        # the narrowest type that holds the start letter m keeps the
+        # level-ordered letters small; first letters follow letter m
+        lets = np.zeros(self.n, dtype=np.min_scalar_type(m))
+        previous = np.full_like(lets, m)
         for lo, hi, end in self._levels:
             rows = np.add(self._base[lo:hi], previous[lo:hi], dtype=np.int64)
             out, take = lets[lo:hi], u[lo:hi]
@@ -292,11 +304,12 @@ class PrefixMeasure:
         if word.min() < 0 or word.max() >= m:
             raise ValueError(f"letters must lie in [0, {m}), got {word.min()}..{word.max()}")
         # in level order and the draws' narrow type, which moves fewer bytes
-        lets = word.astype(np.min_scalar_type(m - 1)).take(self._order)
+        lets = word.astype(np.min_scalar_type(m)).take(self._order)
         # the letters are known, so every level's previous letters come from
         # one pass: the chains that go on, level by level, are the next
-        # levels in order (the last level's mask is all False)
-        previous = np.zeros_like(lets)
+        # levels in order (the last level's mask is all False); first
+        # letters follow the start letter m
+        previous = np.full_like(lets, m)
         lets.compress(self._more, out=previous[self._levels[0][1] :])
         # int64 indices: take copies narrower ones to int64 first
         idx = np.add(self._base, previous, dtype=np.int64)

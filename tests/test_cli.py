@@ -262,7 +262,8 @@ print(json.dumps({"codes": codes, "loaded": loaded, "sample": [sample_code, out.
 class TestWideAlphabet:
     """One system per case tag on random irreducible matrices with 48 and
     128 letters: infinite chains read their laws from the level stream, so
-    billingsley runs wherever the series does."""
+    billingsley runs wherever the series does.  At 512 letters the sampler
+    stores each stream level's laws once, so it fits a small memory cap."""
 
     @pytest.mark.parametrize("m", [48, 128])
     @pytest.mark.parametrize("pqab", [(1, 2, 0, 0), (2, 4, 0, 0), (2, 3, 0, 0), (2, 4, 0, 1)])
@@ -279,6 +280,24 @@ class TestWideAlphabet:
         # sample prints one digit per letter
         code, _, err = run(capsys, "sample", "--n", "50", "--seed", "1", path)
         assert code == 1 and "m <= 10" in err
+
+    def test_wide_window_under_a_memory_limit(self, capsys, tmp_path):
+        # the child alone is capped at 768 MiB of address space, and one BLAS
+        # thread keeps numpy's own start-up inside it; a law table with one
+        # m x m block per (family, level) pair needs more at m = 512, one
+        # block per stream level does not
+        path = system_file(tmp_path, (2, 3, 0, 0), wide_irreducible(512).rows)
+        code, out, _ = run(capsys, "dim", "--kind", "hausdorff", path)
+        assert code == 0
+        h = json.loads(out)["results"]["hausdorff"]["value"]
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+
+        proc = run_in_child("billingsley", "--n", "1000", "--samples", "4", "--seed", "1", path,
+                            env={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=cap, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["mean"] - h) <= 0.02
 
 
 class TestClosedPipe:

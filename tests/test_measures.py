@@ -223,7 +223,9 @@ class TestChainLaws:
     @pytest.mark.parametrize("m", range(2, 13))
     def test_arrays_equal_python_sums(self, m):
         # the cumsum's last column adds left to right as sum() does, so the
-        # array laws are bit-equal to the per-level tuples
+        # array laws are bit-equal to the per-level tuples: each block's
+        # last row is the first-letter law, the rows before it the
+        # transitions
         rng = random.Random(1900 + m)
         for _ in range(12):
             pqab = rng.choice([
@@ -232,10 +234,10 @@ class TestChainLaws:
             ])
             s = validate_system(*pqab, random_irreducible(m, rng))
             count = rng.randint(1, 30)
-            firsts, rows = _laws(s, _stream(s, count))
+            laws = _laws(s, _stream(s, count))
             expected = self.reference(s, count)
-            assert firsts.tolist() == [first for first, _ in expected]
-            assert rows.tolist() == [level_rows for _, level_rows in expected]
+            assert laws[:, -1].tolist() == [first for first, _ in expected]
+            assert laws[:, :-1].tolist() == [level_rows for _, level_rows in expected]
 
 
 class TestStationaryMeasure:
@@ -471,6 +473,12 @@ class TestLawTable:
                 assert s.case_tag is CaseTag.NON_DIVISIBLE and 2 in pm.families and depth >= 2
             for f, family in enumerate(pm.families):
                 assert pm.laws[f].tolist() == self.expected(family, s, depth), family
+            # one block of m + 1 rows per stream level the families read, not
+            # one per (family, level) pair: blocks 0..longest, where block 0
+            # is stream level N when there are infinite chains (p1 = 1, and
+            # the longest finite family is 1) and the zero law otherwise
+            longest = 0 if pm.families == ("inf",) else pm.families[-1]
+            assert pm._log2.size == (longest + 1) * (s.m + 1) * s.m
         assert {s.case_tag for s, _ in cases} == set(CaseTag)
 
 
