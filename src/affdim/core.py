@@ -360,17 +360,20 @@ class DimensionReport:
     ``value`` and bound them by ``tail_bound``.  Every divisible Hausdorff
     report is an enclosure: its series adds the lower end of an enclosure of
     the omitted terms to ``value`` and reports its width as ``tail_bound``.
-    Closed forms carry tail_bound == 0, and rounding_bound == 0 where no
-    bound is derived.  ``to_dict`` leaves rounding_bound out, so the report
-    schema stays as it was.
+    Each series builds its own report (``minkowski._series`` and
+    ``hausdorff._series``).  Closed forms pass only the value, the kind and
+    the case tag, and take the zero defaults: truncation_index == 0,
+    tail_bound == 0 and tolerance == 0.  rounding_bound is 0 where no bound
+    is derived.  ``to_dict`` leaves rounding_bound out, so the report schema
+    stays as it was.
     """
 
     value: float
     kind: str                      # "minkowski" or "hausdorff"
     case_tag: CaseTag
-    truncation_index: int
-    tail_bound: float
-    tolerance: float
+    truncation_index: int = 0
+    tail_bound: float = 0.0
+    tolerance: float = 0.0
     rounding_bound: float = 0.0
     notes: tuple[str, ...] = ()
     #: per-term diagnostics for series-based values, e.g. one entry per

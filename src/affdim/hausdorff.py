@@ -4,6 +4,10 @@ Three regimes: a closed form when gcd(p,q) does not divide b-a; otherwise
 one series of chain-potential logs over the level stream of F_r, r = p1/q1
 (``dimension_divisible``), and its p1 = 1 reading: the fixed-point form for
 p = 1 and the sublattice reduction for p > 1 (``dimension_classical``).
+
+``_series`` builds the report of every divisible case.  ``dimension`` runs
+it directly for the classical and divisible-general tags; the degenerate
+tag goes through ``dimension_degenerate``, which adds its note.
 """
 
 from __future__ import annotations
@@ -109,14 +113,7 @@ def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
     ratio = sys.p / sys.q
     total = sum(r**ratio for r in sys.matrix.row_sums)
     value = 1 - 1 / sys.p - 1 / sys.q + _div_int(math.log2(total) / math.log2(sys.m), sys.p)
-    return DimensionReport(
-        value=value,
-        kind="hausdorff",
-        case_tag=sys.case_tag,
-        truncation_index=0,
-        tail_bound=0.0,
-        tolerance=0.0,
-    )
+    return DimensionReport(value=value, kind="hausdorff", case_tag=sys.case_tag)
 
 
 def dimension_classical(sys: AffineSystem, tol: float = 1e-10) -> DimensionReport:
@@ -407,15 +404,16 @@ def dimension_degenerate(sys: AffineSystem, tol: float = 1e-10) -> DimensionRepo
 
 
 def dimension(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
-    """Hausdorff dimension, dispatching on the case classification."""
+    """Hausdorff dimension, dispatching on the case classification: the
+    closed form for non-divisible systems, ``dimension_degenerate`` for its
+    note, and ``_series`` directly for the classical and divisible-general
+    tags, whose wrappers only check the tag again."""
     check_tolerance(tol)
     if sys.case_tag is CaseTag.NON_DIVISIBLE:
         return dimension_nondivisible(sys)
-    if sys.case_tag is CaseTag.CLASSICAL:
-        return dimension_classical(sys, tol)
     if sys.case_tag is CaseTag.DIVISIBLE_DEGENERATE:
         return dimension_degenerate(sys, tol)
-    return dimension_divisible(sys, tol)
+    return _series(sys, tol)
 
 
 def comparison_gap(

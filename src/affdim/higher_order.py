@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import AffineSystem, InvalidSystemError, TransitionMatrix, _first_index, validate_system
 from .oracle import brute_force_count, window_pairs

@@ -63,11 +63,13 @@ def series_tail_bound(upto_i: int, q1: int, d: int) -> Fraction:
     return Fraction(*_series_tail(upto_i, q1, d))
 
 
-def _series(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int, const=0.0):
+def _series(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int,
+            case_tag: CaseTag, const=0.0) -> DimensionReport:
     """const plus the float terms of ((q1-1)^2/d) * sum_{i >= first_i}
     log_m |A^{i-1}| / q1^{i+1} up to the first i = N whose tail bound is
-    <= tol, summed with ``math.fsum``.  Returns (value, N, tail_bound,
-    rounding_bound), the bounds as floats.
+    <= tol, summed with ``math.fsum``.  Returns the Minkowski report of
+    ``case_tag``: the value, N, the tail and rounding bounds as floats, and
+    tol.  ``series_evaluation`` reads its fields.
 
     Each weight (q1-1)^2 / (d q1^(i+1)) is one correctly rounded quotient of
     exact integers.  It is at most 1, so it cannot overflow, even for q1 or d
@@ -99,7 +101,15 @@ def _series(matrix: TransitionMatrix, q1: int, d: int, tol: float, first_i: int,
         terms.append(math.log(matrix.power_sum(i - 1)) / ln_m * (num / den))
     value = math.fsum([const, *terms])
     rounding = _TWO_U * (value + const + 8 * math.fsum(terms)) + (N + 2) ** 2 * 2.0**-1070
-    return value, N, tail_num / tail_den, rounding
+    return DimensionReport(
+        value=value,
+        kind="minkowski",
+        case_tag=case_tag,
+        truncation_index=N,
+        tail_bound=tail_num / tail_den,
+        tolerance=tol,
+        rounding_bound=rounding,
+    )
 
 
 def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
@@ -109,14 +119,7 @@ def dimension_nondivisible(sys: AffineSystem) -> DimensionReport:
             f"non-divisible formula called on {sys.case_tag.value} system"
         )
     value = 1 - 2 / sys.q + _div_int(math.log2(sys.matrix.entry_sum) / math.log2(sys.m), sys.q)
-    return DimensionReport(
-        value=value,
-        kind="minkowski",
-        case_tag=sys.case_tag,
-        truncation_index=0,
-        tail_bound=0.0,
-        tolerance=0.0,
-    )
+    return DimensionReport(value=value, kind="minkowski", case_tag=sys.case_tag)
 
 
 def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
@@ -127,32 +130,14 @@ def dimension_divisible(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport
         raise InvalidSystemError("divisible formula called on a non-divisible system")
     d, q1 = sys.d, sys.q1
     const = (d * q1**2 - 2 * q1 + 1) / (d * q1**2)
-    value, N, tail, rounding = _series(sys.matrix, q1, d, tol, first_i=2, const=const)
-    return DimensionReport(
-        value=value,
-        kind="minkowski",
-        case_tag=sys.case_tag,
-        truncation_index=N,
-        tail_bound=tail,
-        tolerance=tol,
-        rounding_bound=rounding,
-    )
+    return _series(sys.matrix, q1, d, tol, first_i=2, case_tag=sys.case_tag, const=const)
 
 
 def dimension_classical(q: int, matrix: TransitionMatrix, tol: float = 1e-8) -> DimensionReport:
     """Series (q-1)^2 sum_{i>=1} log_m |A^{i-1}| / q^{i+1} for ratio-q systems."""
     if q < 2:
         raise InvalidSystemError(f"classical ratio must be >= 2, got {q}")
-    value, N, tail, rounding = _series(matrix, q, 1, tol, first_i=1)
-    return DimensionReport(
-        value=value,
-        kind="minkowski",
-        case_tag=CaseTag.CLASSICAL,
-        truncation_index=N,
-        tail_bound=tail,
-        tolerance=tol,
-        rounding_bound=rounding,
-    )
+    return _series(matrix, q, 1, tol, first_i=1, case_tag=CaseTag.CLASSICAL)
 
 
 def dimension(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
@@ -164,16 +149,17 @@ def dimension(sys: AffineSystem, tol: float = 1e-8) -> DimensionReport:
 
 
 def series_evaluation(sys: AffineSystem, tol: float = 1e-8) -> SeriesEvaluation:
-    """The truncated divisible-case series with its rigorous tail bound."""
+    """The truncated divisible-case series with its rigorous tail bound: a
+    view of the report that ``_series`` builds, without the constant."""
     if not sys.divisible:
         raise InvalidSystemError("the power-sum series belongs to the divisible case")
-    partial, N, tail, rounding = _series(sys.matrix, sys.q1, sys.d, tol, first_i=2)
+    report = _series(sys.matrix, sys.q1, sys.d, tol, first_i=2, case_tag=sys.case_tag)
     return SeriesEvaluation(
-        partial_sum=partial,
-        terms_used=N,
-        tail_bound=tail,
+        partial_sum=report.value,
+        terms_used=report.truncation_index,
+        tail_bound=report.tail_bound,
         log_base=sys.m,
-        rounding_bound=rounding,
+        rounding_bound=report.rounding_bound,
     )
 
 

@@ -555,10 +555,30 @@ class TestDegenerate:
 
 class TestDispatchAndGap:
     def test_dispatch_routes_every_case(self):
+        # dimension runs _series directly for two tags; every report must
+        # equal that of the tag's own entry point, notes and bounds included
+        entry = {
+            CaseTag.CLASSICAL: dimension_classical,
+            CaseTag.DIVISIBLE_GENERAL: dimension_divisible,
+            CaseTag.DIVISIBLE_DEGENERATE: dimension_degenerate,
+        }
+        seen = set()
         for pqab in BATTERY:
-            report = dimension(sys_golden(*pqab), tol=1e-9)
-            assert report.kind == "hausdorff"
-            assert 0.0 <= report.value <= 1.0
+            for rows in (GOLDEN, MIXED3):
+                s = validate_system(*pqab, rows)
+                seen.add(s.case_tag)
+                for tol in (1e-9, 1e-12):
+                    report = dimension(s, tol)
+                    assert report.kind == "hausdorff"
+                    assert 0.0 <= report.value <= 1.0
+                    box = minkowski.dimension(s, tol)
+                    if s.case_tag is CaseTag.NON_DIVISIBLE:
+                        assert report == dimension_nondivisible(s)
+                        assert box == minkowski.dimension_nondivisible(s)
+                    else:
+                        assert report == entry[s.case_tag](s, tol)
+                        assert box == minkowski.dimension_divisible(s, tol)
+        assert seen == set(CaseTag)
 
     def test_golden_gaps(self):
         _, _, gap241 = comparison_gap(sys_golden(2, 4, 0, 1))
